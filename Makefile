@@ -27,7 +27,7 @@ CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|T
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 
-.PHONY: check vet lint build test race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke
+.PHONY: check vet lint build test race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke perfbench-test
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
@@ -36,8 +36,9 @@ CHAOS_SEED ?= 1
 # enumeration, and the serving layer coalesces concurrent requests into
 # batches. bench-smoke keeps the benchmark/benchjson pipeline compiling
 # and parsing (one iteration per benchmark); fuzz-smoke gives every fuzz
-# target a short budget on top of the committed corpora.
-check: vet lint build race test bench-smoke fuzz-smoke fleet-smoke
+# target a short budget on top of the committed corpora; perfbench-test
+# compiles and tests the benchmark module against the current packages.
+check: vet lint build race test bench-smoke fuzz-smoke load-smoke fleet-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -119,6 +120,13 @@ fleet-smoke:
 	$(GO) run ./cmd/bstcload -synth -fleet-replicas 2 -requests 500 \
 		-concurrency 4 -seed 1 -min-rps 50 -max-failed 0 \
 		-report /tmp/fleet_smoke.json && rm -f /tmp/fleet_smoke.json
+
+# perfbench-test vets and tests the repo benchmark (perfbench/, its own
+# module that imports this one through a replace directive). The root
+# module's go test ./... never compiles it, so this is what catches an API
+# change here that breaks the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each target FUZZTIME of coverage-guided fuzzing (default
 # 10s) seeded from the committed corpora in testdata/fuzz/. Any crasher is

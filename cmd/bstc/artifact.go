@@ -15,17 +15,15 @@ import (
 // plus BSTC tables — on a continuous matrix and writes the combined
 // artifact for `bstcd -model`.
 //
-//	bstc artifact -in expr.tsv -out model.bstc [-format v2|gob] [-workers N]
+//	bstc artifact -in expr.tsv -out model.bstc [-workers N]
 //
-// The default v2 format is the flat mappable layout `bstcd -mmap` serves
-// zero-copy; -format gob writes the v1 stream older loaders read. Either
-// way the file is written atomically (temp + fsync + rename), so a crash
-// mid-write never leaves a torn artifact where a daemon would pick it up.
+// The file is in the flat mappable layout `bstcd -mmap` serves zero-copy,
+// written atomically (temp + fsync + rename), so a crash mid-write never
+// leaves a torn artifact where a daemon would pick it up.
 func cmdArtifact(args []string) error {
 	fs := flag.NewFlagSet("artifact", flag.ContinueOnError)
 	in := fs.String("in", "", "continuous TSV or ARFF input (required)")
 	out := fs.String("out", "", "artifact output path (required)")
-	format := fs.String("format", eval.FormatV2, "artifact format: v2 (flat, mmap-servable) or gob (v1 stream)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines for discretization (1 = serial; the artifact is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,11 +49,11 @@ func cmdArtifact(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := eval.WriteArtifactFile(*out, art, *format); err != nil {
+	if err := eval.WriteArtifactFile(*out, art, eval.FormatV2); err != nil {
 		return err
 	}
-	fmt.Printf("artifact: %d samples, %d/%d genes kept, %d items, %d classes; written to %s (%s)\n",
+	fmt.Printf("artifact: %d samples, %d/%d genes kept, %d items, %d classes; written to %s\n",
 		cont.NumSamples(), art.Disc.NumSelectedGenes(), cont.NumGenes(),
-		art.Disc.NumItems(), len(art.Classifier.ClassNames), *out, *format)
+		art.Disc.NumItems(), len(art.Classifier.ClassNames), *out)
 	return nil
 }

@@ -34,16 +34,14 @@ func writeArtifact(t *testing.T) (string, *eval.Artifact, [][]float64) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := art.Save(f); err != nil {
+	if err := eval.WriteArtifactFile(path, art, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	return path, art, c.Values
 }
+
+// goldenV1 is a v1 gob artifact written by an earlier release.
+var goldenV1 = filepath.Join("..", "..", "internal", "eval", "testdata", "artifact_v1.golden")
 
 func TestRunUsageErrors(t *testing.T) {
 	ctx := context.Background()
@@ -273,9 +271,8 @@ func TestServeMmap(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	gobModel, _, _ := writeArtifact(t)
 	if err := run(context.Background(),
-		[]string{"-model", gobModel, "-mmap", "-addr", "127.0.0.1:0"},
+		[]string{"-model", goldenV1, "-mmap", "-addr", "127.0.0.1:0"},
 		&out, nil); err == nil {
 		t.Error("-mmap on a v1 gob artifact should error")
 	}

@@ -47,12 +47,12 @@ func trainOpposed(t *testing.T) (v1, v2 *eval.Artifact, rows [][]float64) {
 }
 
 // writeFleet lays out a registry directory holding both opposed artifacts
-// (v1 as gob, v2 as format v2) routed per the given serve block.
+// routed per the given serve block.
 func writeFleet(t *testing.T, serveJSON string) (dir string, v1, v2 *eval.Artifact, rows [][]float64) {
 	t.Helper()
 	dir = t.TempDir()
 	v1, v2, rows = trainOpposed(t)
-	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), v1, eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), v1, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v2.bstc"), v2, eval.FormatV2); err != nil {
@@ -215,8 +215,8 @@ func TestServeRegistryPollSwap(t *testing.T) {
 		"-batch", "4", "-max-wait", "1ms")
 
 	m := modelMeta(t, base)
-	if m["version"] != "v1" || m["artifact_format"] != "gob" {
-		t.Fatalf("boot route = %v/%v, want v1/gob", m["version"], m["artifact_format"])
+	if m["version"] != "v1" || m["artifact_format"] != "v2+mmap" {
+		t.Fatalf("boot route = %v/%v, want v1/v2+mmap", m["version"], m["artifact_format"])
 	}
 	wantV1, _, err := v1.ClassifyRow(rows[0])
 	if err != nil {
@@ -286,7 +286,7 @@ func TestServeRegistryPollSwap(t *testing.T) {
 func TestSighupSingleModelReload(t *testing.T) {
 	v1, v2, rows := trainOpposed(t)
 	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := eval.WriteArtifactFile(path, v1, eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(path, v1, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

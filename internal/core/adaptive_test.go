@@ -51,7 +51,7 @@ func TestAdaptiveWorkedExample(t *testing.T) {
 
 func TestAdaptiveAgreesWithBaseWhenSingleProcedure(t *testing.T) {
 	r := rand.New(rand.NewSource(103))
-	d := randomBoolDataset(r, 12, 10, 2)
+	d := randomBoolDataset(r, 12, 10, 2, 0)
 	a, err := TrainAdaptive(d, EvalOptions{Arithmetization: MinCombine})
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +70,12 @@ func TestAdaptiveAgreesWithBaseWhenSingleProcedure(t *testing.T) {
 
 func TestAdaptiveBatchAndConfidenceBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(107))
-	d := randomBoolDataset(r, 14, 10, 3)
+	d := randomBoolDataset(r, 14, 10, 3, 0)
 	a, err := TrainAdaptive(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := randomBoolDataset(r, 10, 10, 3)
+	test := randomBoolDataset(r, 10, 10, 3, 0)
 	preds := a.ClassifyBatch(test)
 	if len(preds) != 10 {
 		t.Fatalf("batch size %d", len(preds))

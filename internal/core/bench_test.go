@@ -14,7 +14,7 @@ import (
 func benchClassifier(b *testing.B) (*Classifier, *dataset.Bool) {
 	b.Helper()
 	r := rand.New(rand.NewSource(11))
-	train := randomBoolDataset(r, 40, 60, 2)
+	train := randomBoolDataset(r, 40, 60, 2, 0)
 	cl, err := Train(train, nil)
 	if err != nil {
 		b.Fatal(err)

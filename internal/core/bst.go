@@ -20,10 +20,13 @@ import (
 // otherwise a set of exclusion lists — one per outside sample h that also
 // expresses g.
 //
-// Algorithm 1's pointer-sharing trick means the table stores only one list
+// Algorithm 1's pointer-sharing trick means the table holds only one list
 // per (c, h) pair; cells reference the pair lists of the outside samples
-// expressing their gene. We keep exactly that representation: pairList[c][h]
-// plus the per-gene outside-expresser index, and derive cells on demand.
+// expressing their gene. A pair list is fixed by the two rows alone — H\C,
+// or C\H when H ⊆ C — so the table does not store it: it keeps the outside
+// rows (aliases of the other tables' column rows) and |H∩C| per pair, and
+// derives each list's satisfaction fraction from popcounts (see pairFraction).
+// Consumers that need the clause itself build it on demand (PairClause).
 type BST struct {
 	// Class is the class index C_i this table was built for.
 	Class int
@@ -42,10 +45,14 @@ type BST struct {
 	// geneOutside[g] is the set of outside positions h expressing gene g
 	// (universe = len(OutsideSamples)).
 	geneOutside []*bitset.Set
-	// pairList[c][h] is the shared exclusion list for column c and outside
-	// sample h: the paper's (h: -g_l1 … -g_lm) with genes h\c, or, when
-	// h ⊆ c, the positive list (h: g_l1 … g_lm) with genes c\h.
-	pairList [][]rules.Clause
+	// outRows[h] is the gene set of outside sample h, aliasing the dataset
+	// row (or, after a load, the owning table's column set).
+	outRows []*bitset.Set
+	// colSize[c] = |C| and outSize[h] = |H|.
+	colSize, outSize []int32
+	// pairInter[c*len(OutsideSamples)+h] = |H∩C|: with the two sizes it
+	// fixes the pair list's sign and length.
+	pairInter []int32
 	// cullOnce guards the lazy culling state below: it is only needed when
 	// a query evaluates with CullListsTo > 0, so it is built on the first
 	// such query (concurrency-safe) instead of at construction or load —
@@ -59,11 +66,7 @@ type BST struct {
 	// Rank/Select stay available for covering diagnostics. Built once per
 	// table, never after a mutation.
 	outsideIdx []*bitset.Index
-	// pairSize[c][h] caches |pairList[c][h].Genes|, so each pair-value cache
-	// miss pays one intersection count instead of two full word scans (see
-	// rules.Clause.SatisfactionFractionSized).
-	pairSize [][]int32
-	// pairExpr lazily caches pairList[c][h].Expr() for the rule-mining
+	// pairExpr lazily caches PairClause(c, h).Expr() for the rule-mining
 	// paths, which revisit the same pair clauses across many rules. Mining
 	// methods are not safe for concurrent use because of this cache;
 	// classification never touches it and stays concurrency-safe.
@@ -122,41 +125,28 @@ func NewBST(d *dataset.Bool, ci int) (*BST, error) {
 		t.exclusive[g] = expressedInClass.Contains(g) && t.geneOutside[g].IsEmpty()
 	}
 
-	// One shared exclusion list per (c, h) pair (Algorithm 1 lines 13-18).
-	t.pairList = make([][]rules.Clause, len(t.ClassSamples))
-	for c := range t.ClassSamples {
-		t.pairList[c] = make([]rules.Clause, len(t.OutsideSamples))
-		cg := t.colGenes[c]
-		for h, si := range t.OutsideSamples {
-			hg := d.Rows[si]
-			l := bitset.Difference(hg, cg) // genes in h but not c
-			if !l.IsEmpty() {
-				t.pairList[c][h] = rules.Clause{Genes: l, Neg: true}
-				continue
-			}
-			// h ⊆ c: fall back to the positive list c \ h. If that is also
-			// empty, the two samples are identical (excluded by Theorem 2's
-			// hypothesis); the clause stays empty and is unsatisfiable.
-			t.pairList[c][h] = rules.Clause{Genes: bitset.Difference(cg, hg)}
-		}
+	// Algorithm 1 lines 13-18 share one exclusion list per (c, h) pair;
+	// linkOutside keeps only what fixes it.
+	if err := t.linkOutside(d.Rows); err != nil {
+		return nil, err
 	}
-	t.buildDerived()
 
 	met.bstBuilds.Inc()
 	if met.bstCells != nil {
 		// Non-blank cells: each column sample contributes one cell per
-		// expressed gene. The exclusion-list size accounting walks every
-		// shared pair list once, so it only runs when instrumented.
+		// expressed gene. The exclusion-list size accounting visits every
+		// pair once, so it only runs when instrumented.
 		cells := int64(0)
-		for _, cg := range t.colGenes {
-			cells += int64(cg.Count())
+		for _, n := range t.colSize {
+			cells += int64(n)
 		}
 		met.bstCells.Add(cells)
 		met.pairClauses.Add(int64(len(t.ClassSamples)) * int64(len(t.OutsideSamples)))
 		genes := int64(0)
-		for c := range t.pairList {
-			for h := range t.pairList[c] {
-				genes += int64(t.pairList[c][h].Genes.Count())
+		for c := range t.ClassSamples {
+			for h := range t.OutsideSamples {
+				n, _ := t.pairLen(c, h)
+				genes += int64(n)
 			}
 		}
 		met.exclGenes.Add(genes)
@@ -197,7 +187,7 @@ func (t *BST) Cell(g, c int) (CellKind, []CellClause) {
 	}
 	var out []CellClause
 	t.geneOutside[g].ForEach(func(h int) bool {
-		out = append(out, CellClause{Outside: h, Clause: t.pairList[c][h]})
+		out = append(out, CellClause{Outside: h, Clause: t.PairClause(c, h)})
 		return true
 	})
 	return CellLists, out
@@ -210,9 +200,78 @@ type CellClause struct {
 	Clause  rules.Clause
 }
 
+// linkOutside points the table's outside rows at rows, indexed by dataset
+// sample, and derives the state that stands in for stored pair lists: the
+// row sizes and |H∩C| per pair. OutsideSamples must be exactly the
+// complement of the table's own ClassSamples. It runs at construction and
+// on every load path.
+func (t *BST) linkOutside(rows []*bitset.Set) error {
+	if len(t.OutsideSamples) != len(rows)-len(t.ClassSamples) {
+		return fmt.Errorf("core: model table %d has %d outside samples, want %d",
+			t.Class, len(t.OutsideSamples), len(rows)-len(t.ClassSamples))
+	}
+	seen := bitset.New(len(rows))
+	for _, si := range t.ClassSamples {
+		seen.Add(si)
+	}
+	t.outRows = make([]*bitset.Set, len(t.OutsideSamples))
+	for h, si := range t.OutsideSamples {
+		if si < 0 || si >= len(rows) || seen.Contains(si) {
+			return fmt.Errorf("core: model table %d outside samples are not the complement of its class samples", t.Class)
+		}
+		seen.Add(si)
+		t.outRows[h] = rows[si]
+	}
+	t.colSize = rowSizes(t.colGenes)
+	t.outSize = rowSizes(t.outRows)
+	nh := len(t.outRows)
+	t.pairInter = make([]int32, len(t.colGenes)*nh)
+	for c, cg := range t.colGenes {
+		for h, hg := range t.outRows {
+			t.pairInter[c*nh+h] = int32(cg.IntersectionCount(hg))
+		}
+	}
+	return nil
+}
+
+func rowSizes(rows []*bitset.Set) []int32 {
+	out := make([]int32, len(rows))
+	for i, r := range rows {
+		out[i] = int32(r.Count())
+	}
+	return out
+}
+
+// pairLen returns the length of the exclusion list of column c and outside
+// position h, and whether it is the negated list H\C (otherwise H ⊆ C and
+// it is the positive list C\H).
+func (t *BST) pairLen(c, h int) (n int, neg bool) {
+	hc := t.pairInter[c*len(t.outRows)+h]
+	if d := t.outSize[h] - hc; d > 0 {
+		return int(d), true
+	}
+	return int(t.colSize[c] - t.outSize[h]), false
+}
+
 // PairClause returns the shared exclusion list of column c and outside
-// position h, regardless of any particular gene row.
-func (t *BST) PairClause(c, h int) rules.Clause { return t.pairList[c][h] }
+// position h, regardless of any particular gene row: the paper's
+// (h: -g_l1 … -g_lm) with genes h\c, or, when h ⊆ c, the positive list
+// (h: g_l1 … g_lm) with genes c\h. If both are empty the samples are
+// identical (excluded by Theorem 2's hypothesis) and the clause is empty,
+// hence unsatisfiable. The clause is built on each call.
+func (t *BST) PairClause(c, h int) rules.Clause {
+	_, neg := t.pairLen(c, h)
+	return rules.Clause{Genes: t.pairGenesInto(bitset.New(t.numGenes), c, h), Neg: neg}
+}
+
+// pairGenesInto writes the gene set of PairClause(c, h) into dst and
+// returns it.
+func (t *BST) pairGenesInto(dst *bitset.Set, c, h int) *bitset.Set {
+	if _, neg := t.pairLen(c, h); neg {
+		return t.outRows[h].AndNotInto(dst, t.colGenes[c])
+	}
+	return t.colGenes[c].AndNotInto(dst, t.outRows[h])
+}
 
 // pairClauseExpr returns the cached expression form of a pair clause.
 func (t *BST) pairClauseExpr(c, h int) rules.Expr {
@@ -224,7 +283,7 @@ func (t *BST) pairClauseExpr(c, h int) rules.Expr {
 	}
 	if t.pairExpr[c][h] == nil {
 		met.clauseExprMisses.Inc()
-		t.pairExpr[c][h] = t.pairList[c][h].Expr()
+		t.pairExpr[c][h] = t.PairClause(c, h).Expr()
 	} else {
 		met.clauseExprHits.Inc()
 	}

@@ -318,7 +318,7 @@ func TestEvaluateValueInUnitInterval(t *testing.T) {
 	// Property: BSTCE values and column values are always in [0, 1].
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		d := randomBoolDataset(r, 8, 10, 2)
+		d := randomBoolDataset(r, 8, 10, 2, 0)
 		for ci := 0; ci < d.NumClasses(); ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
@@ -347,7 +347,7 @@ func TestProductNeverExceedsMin(t *testing.T) {
 	// values can never exceed MinCombine's.
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
-		d := randomBoolDataset(r, 8, 10, 2)
+		d := randomBoolDataset(r, 8, 10, 2, 0)
 		bst, err := NewBST(d, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -391,7 +391,7 @@ func TestCellRulesAre100Confident(t *testing.T) {
 	// supported by its own sample.
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
-		d := randomBoolDataset(r, 7, 9, 2)
+		d := randomBoolDataset(r, 7, 9, 2, 0)
 		for ci := 0; ci < d.NumClasses(); ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
@@ -419,7 +419,7 @@ func TestCellRulesAre100Confident(t *testing.T) {
 func TestRowBARs100ConfidentRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 40; trial++ {
-		d := randomBoolDataset(r, 7, 9, 3)
+		d := randomBoolDataset(r, 7, 9, 3, 0)
 		for ci := 0; ci < d.NumClasses(); ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
@@ -474,7 +474,13 @@ func contains(s, sub string) bool {
 // randomBoolDataset generates a random discretized dataset with no
 // duplicate samples across classes (Theorem 2's hypothesis) and at least
 // one sample per class.
-func randomBoolDataset(r *rand.Rand, samples, genes, classes int) *dataset.Bool {
+// randomBoolDataset draws a dataset with no empty class. With nested > 0,
+// that share of the rows after the first is derived from an earlier row —
+// an exact copy, a subset or a superset — so its tables hold pairs with
+// H ⊆ C, including duplicate samples across classes (which Theorem 2's
+// hypothesis excludes, and which are then kept). With nested == 0 the rows
+// are independent and duplicates across classes are redrawn.
+func randomBoolDataset(r *rand.Rand, samples, genes, classes int, nested float64) *dataset.Bool {
 	for {
 		d := &dataset.Bool{
 			GeneNames:  make([]string, genes),
@@ -494,9 +500,19 @@ func randomBoolDataset(r *rand.Rand, samples, genes, classes int) *dataset.Bool 
 			}
 			counts[cl]++
 			d.Classes = append(d.Classes, cl)
-			d.Rows = append(d.Rows, randomRow(r, genes))
+			row := randomRow(r, genes)
+			if nested > 0 && i > 0 && r.Float64() < nested {
+				row = d.Rows[r.Intn(i)].Clone()
+				switch r.Intn(3) {
+				case 1: // subset
+					row.And(randomRow(r, genes))
+				case 2: // superset
+					row.Or(randomRow(r, genes))
+				}
+			}
+			d.Rows = append(d.Rows, row)
 		}
-		if len(d.DuplicateSamplePairs()) == 0 {
+		if nested > 0 || len(d.DuplicateSamplePairs()) == 0 {
 			return d
 		}
 	}

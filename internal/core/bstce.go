@@ -89,18 +89,16 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 
 	var colSum float64
 	nonBlank := 0
-	qAndCol := s.qAndCol
 	for c := range t.ClassSamples {
 		// Genes considered in this column: expressed by both q and the
 		// column sample (Algorithm 5 line 6; Figure 3 keeps only Q's genes).
-		q.IntersectInto(qAndCol, t.colGenes[c])
-		if qAndCol.IsEmpty() {
+		if s.setColumn(q, t.colGenes[c]) == 0 {
 			continue
 		}
 		var sum float64
 		n := 0
-		qAndCol.ForEach(func(g int) bool {
-			sum += t.cellValue(q, s, g, c, opts)
+		s.qAndCol.ForEach(func(g int) bool {
+			sum += t.cellValue(s, g, c, opts)
 			n++
 			return true
 		})
@@ -117,12 +115,23 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 
 // cellValue computes Algorithm 5 lines 7-11 for cell (g, c): 1 for black
 // dots, otherwise the combination of the cell's exclusion-list satisfaction
-// fractions. The pair-value cache lives in s.
-func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOptions) float64 {
+// fractions. The pair-value cache lives in s, whose current column must be
+// c (see evalScratch.setColumn).
+func (t *BST) cellValue(s *evalScratch, g, c int, opts EvalOptions) float64 {
 	if t.exclusive[g] {
 		return 1
 	}
 	pv := s.column(c, len(t.OutsideSamples))
+	// pair returns pair h's fraction, computing it on the column's first
+	// use. It inlines into the loops below; a call per cache hit cost about
+	// a quarter of the evaluation time on the paper-scale OC profile.
+	pair := func(h int) float64 {
+		if f := pv[h]; !math.IsNaN(f) {
+			s.hits++
+			return f
+		}
+		return t.pairMiss(pv, s, c, h)
+	}
 
 	outs := t.geneOutside[g]
 	// The rank directory answers the covering check in O(1); the scan-based
@@ -139,7 +148,7 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 			if !outs.Contains(h) {
 				continue
 			}
-			f := t.pairValue(q, pv, c, h)
+			f := pair(h)
 			if opts.Arithmetization == ProductCombine {
 				v *= f
 			} else if f < v {
@@ -153,34 +162,55 @@ func (t *BST) cellValue(q *bitset.Set, s *evalScratch, g, c int, opts EvalOption
 		return v
 	}
 
-	switch opts.Arithmetization {
-	case ProductCombine:
-		v := 1.0
+	v := 1.0
+	if opts.Arithmetization == ProductCombine {
 		outs.ForEach(func(h int) bool {
-			v *= t.pairValue(q, pv, c, h)
-			return v > 0
-		})
-		return v
-	default: // MinCombine
-		v := 1.0
-		outs.ForEach(func(h int) bool {
-			if f := t.pairValue(q, pv, c, h); f < v {
-				v = f
-			}
+			v *= pair(h)
 			return v > 0
 		})
 		return v
 	}
+	outs.ForEach(func(h int) bool { // MinCombine
+		if f := pair(h); f < v {
+			v = f
+		}
+		return v > 0
+	})
+	return v
 }
 
-func (t *BST) pairValue(q *bitset.Set, pv []float64, c, h int) float64 {
-	if math.IsNaN(pv[h]) {
-		met.clauseCacheMiss.Inc()
-		pv[h] = t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h]))
-	} else {
-		met.clauseCacheHits.Inc()
-	}
+// pairMiss computes pair h's fraction for column c and caches it in pv.
+func (t *BST) pairMiss(pv []float64, s *evalScratch, c, h int) float64 {
+	met.clauseCacheMiss.Inc()
+	pv[h] = t.pairFraction(s, c, h)
 	return pv[h]
+}
+
+// pairFraction is the satisfaction fraction of the exclusion list of column
+// c and outside position h (rules.Clause.SatisfactionFraction), derived
+// from popcounts instead of a stored list: with x = |H∩q| (kept per query
+// in s) and the current column's q∩C in s,
+//
+//	H\C negated:  |(H\C)∩q| = x − |(q∩C)∩H|, over |H| − |H∩C| literals;
+//	C\H positive: |(C\H)∩q| = |q∩C| − x, over |C| − |H| literals.
+//
+// The integer numerator and denominator are the ones the stored list gave,
+// so the value is bit-identical. An empty list scores 0.
+func (t *BST) pairFraction(s *evalScratch, c, h int) float64 {
+	x := s.outQ[h]
+	if x < 0 {
+		x = int32(t.outRows[h].IntersectionCount(s.q))
+		s.outQ[h] = x
+	}
+	n, neg := t.pairLen(c, h)
+	if n == 0 {
+		return 0
+	}
+	if neg {
+		in := int(x) - s.qAndCol.IntersectionCount(t.outRows[h])
+		return float64(n-in) / float64(n)
+	}
+	return float64(s.qcCount-int(x)) / float64(n)
 }
 
 // cullOrder returns column c's outside positions ordered by ascending
@@ -197,28 +227,12 @@ func (t *BST) cullIdx() []*bitset.Index {
 	return t.outsideIdx
 }
 
-// buildDerived computes the evaluation state every query path touches: the
-// pair-clause size cache feeding SatisfactionFractionSized. It runs once at
-// construction and once on every load path (gob v1, mapped v2). The
-// culling-only state (cull orders, rank directories) is built lazily by
-// cullIdx instead, so loads and non-culling queries never pay for it.
-func (t *BST) buildDerived() {
-	t.pairSize = make([][]int32, len(t.pairList))
-	for c := range t.pairList {
-		sizes := make([]int32, len(t.pairList[c]))
-		for h := range t.pairList[c] {
-			sizes[h] = int32(t.pairList[c][h].Genes.Count())
-		}
-		t.pairSize[c] = sizes
-	}
-}
-
 // buildCullState materializes §8's culling accelerators: per-gene rank
 // directories over the outside-expresser sets (O(1) covering checks) and
 // per-column outside positions sorted by exclusion-list length. The sort
-// compares the cached pairSize values, not live popcounts, so building the
-// orders is O(columns · outside log outside) regardless of the gene
-// universe width.
+// compares lengths derived from the cached sizes, not live popcounts, so
+// building the orders is O(columns · outside log outside) regardless of the
+// gene universe width.
 func (t *BST) buildCullState() {
 	t.outsideIdx = make([]*bitset.Index, len(t.geneOutside))
 	for g, outs := range t.geneOutside {
@@ -226,13 +240,14 @@ func (t *BST) buildCullState() {
 	}
 	t.cullOrders = make([][]int, len(t.ClassSamples))
 	for c := range t.ClassSamples {
-		sizes := t.pairSize[c]
 		order := make([]int, len(t.OutsideSamples))
 		for h := range order {
 			order[h] = h
 		}
 		sort.SliceStable(order, func(a, b int) bool {
-			return sizes[order[a]] < sizes[order[b]]
+			na, _ := t.pairLen(c, order[a])
+			nb, _ := t.pairLen(c, order[b])
+			return na < nb
 		})
 		t.cullOrders[c] = order
 	}
@@ -247,7 +262,8 @@ func (t *BST) CellSatisfaction(q *bitset.Set, g, c int, opts EvalOptions) float6
 	}
 	s := t.getScratch()
 	s.reset()
-	v := t.cellValue(q, s, g, c, opts)
+	s.setColumn(q, t.colGenes[c])
+	v := t.cellValue(s, g, c, opts)
 	t.putScratch(s)
 	return v
 }

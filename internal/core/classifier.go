@@ -128,11 +128,10 @@ func (cl *Classifier) Explain(q *bitset.Set, ci int, minSat float64) []Explanati
 	s := t.getScratch()
 	defer t.putScratch(s)
 	s.reset()
-	qAndCol := s.qAndCol
 	for c := range t.ClassSamples {
-		q.IntersectInto(qAndCol, t.colGenes[c])
-		qAndCol.ForEach(func(g int) bool {
-			v := t.cellValue(q, s, g, c, cl.Opts)
+		s.setColumn(q, t.colGenes[c])
+		s.qAndCol.ForEach(func(g int) bool {
+			v := t.cellValue(s, g, c, cl.Opts)
 			if v >= minSat {
 				out = append(out, Explanation{
 					Gene:         g,

@@ -66,7 +66,7 @@ func TestTrainingSamplesSelfEvaluateToOne(t *testing.T) {
 	// its column value is 1.
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
-		d := randomBoolDataset(r, 8, 9, 2)
+		d := randomBoolDataset(r, 8, 9, 2, 0)
 		for ci := 0; ci < 2; ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {

@@ -47,7 +47,7 @@ func TestIBRGLowerBoundsProperties(t *testing.T) {
 	// and each lower bound is within the upper bound's CAR genes.
 	r := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 15; trial++ {
-		d := randomBoolDataset(r, 8, 8, 2)
+		d := randomBoolDataset(r, 8, 8, 2, 0)
 		bst, err := NewBST(d, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -68,11 +68,15 @@ func (t *BST) RuleSatisfaction(q *bitset.Set, m MCBAR, opts EvalOptions) float64
 	if m.Excluded.IsEmpty() {
 		return carFrac
 	}
+	s := t.getScratch()
+	defer t.putScratch(s)
+	s.reset()
 	best := 0.0
 	m.Support.ForEach(func(c int) bool {
+		s.setColumn(q, t.colGenes[c])
 		v := 1.0
 		m.Excluded.ForEach(func(h int) bool {
-			f := t.pairList[c][h].SatisfactionFractionSized(q, int(t.pairSize[c][h]))
+			f := t.pairFraction(s, c, h)
 			if opts.Arithmetization == ProductCombine {
 				v *= f
 			} else if f < v {

@@ -53,7 +53,7 @@ func TestMCBARClassifierWorkedExampleQuery(t *testing.T) {
 func TestRuleSatisfactionBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 25; trial++ {
-		d := randomBoolDataset(r, 8, 9, 2)
+		d := randomBoolDataset(r, 8, 9, 2, 0)
 		cl, err := TrainMCBAR(d, 4, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestRuleSatisfactionFullOnSupportingSample(t *testing.T) {
 	// A rule's own supporting training samples satisfy it fully: value 1.
 	r := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 20; trial++ {
-		d := randomBoolDataset(r, 8, 9, 2)
+		d := randomBoolDataset(r, 8, 9, 2, 0)
 		cl, err := TrainMCBAR(d, 3, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -116,12 +116,12 @@ func TestMCBARClassifierEmptyQuery(t *testing.T) {
 
 func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
-	d := randomBoolDataset(r, 30, 15, 3)
+	d := randomBoolDataset(r, 30, 15, 3, 0)
 	cl, err := Train(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := randomBoolDataset(r, 40, 15, 3)
+	test := randomBoolDataset(r, 40, 15, 3, 0)
 	serial := cl.ClassifyBatch(test)
 	for _, workers := range []int{-1, 0, 1, 2, 7, 100} {
 		got := cl.ClassifyBatchParallel(test, workers)

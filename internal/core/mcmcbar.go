@@ -226,14 +226,14 @@ func (t *BST) buildMCBAR(s *bitset.Set) MCBAR {
 		var disj rules.Or
 		seenCols := map[string]bool{}
 		var clauseBuf []byte
+		clause := bitset.New(t.numGenes)
 		s.ForEach(func(c int) bool {
 			var colKey []byte
 			var conj rules.And
 			seenClauses := map[string]bool{}
 			excluded.ForEach(func(h int) bool {
-				cl := t.pairList[c][h]
-				clauseBuf = cl.Genes.AppendKey(clauseBuf[:0])
-				if cl.Neg {
+				clauseBuf = t.pairGenesInto(clause, c, h).AppendKey(clauseBuf[:0])
+				if _, neg := t.pairLen(c, h); neg {
 					clauseBuf = append(clauseBuf, '-')
 				}
 				// The byte-slice map lookup compiles to an alloc-free probe,

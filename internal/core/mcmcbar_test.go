@@ -133,7 +133,7 @@ func TestMCMCBARProperties(t *testing.T) {
 	//     |Support| / (|Support| + |Excluded|).
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
-		d := randomBoolDataset(r, 8, 8, 2)
+		d := randomBoolDataset(r, 8, 8, 2, 0)
 		for ci := 0; ci < 2; ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
@@ -184,7 +184,7 @@ func TestMineTieBreakFewerExcluded(t *testing.T) {
 	// with smaller excluded sets first.
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 10; trial++ {
-		d := randomBoolDataset(r, 9, 8, 2)
+		d := randomBoolDataset(r, 9, 8, 2, 0)
 		bst, err := NewBST(d, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"bstc/internal/bitset"
-	"bstc/internal/rules"
 )
 
 // Model persistence: a trained Classifier serializes to a self-contained
@@ -43,18 +42,15 @@ type bstDTO struct {
 	ColGenes       []*bitset.Set
 	Exclusive      []bool
 	GeneOutside    []*bitset.Set
-	// Pair lists flattened row-major: PairGenes[c*len(OutsideSamples)+h].
-	PairGenes []*bitset.Set
-	PairNeg   []bool
+	// Streams written before the exclusion lists were derived also carry
+	// the flattened pair lists; gob skips fields the type lacks.
 }
 
 // TableData is the serializable content of one BST: every field a save
-// format must persist, with the pair lists flattened row-major
-// (PairGenes[c*len(OutsideSamples)+h]). Derived evaluation state (cull
-// orders, rank directories) is intentionally absent — it is rebuilt by
-// BuildClassifier. The one exception is PairSizes, the |PairGenes[i]|
-// cache: formats may persist it so loading skips a popcount pass over
-// every pair list (the mapped cold-start path does); nil means recompute.
+// format must persist. Derived evaluation state — the outside rows, the
+// per-pair intersection sizes, cull orders, rank directories — is
+// intentionally absent: BuildClassifier rebuilds it, taking each table's
+// outside rows from the other tables' column sets.
 type TableData struct {
 	Class          int
 	ClassSamples   []int
@@ -63,9 +59,6 @@ type TableData struct {
 	ColGenes       []*bitset.Set
 	Exclusive      []bool
 	GeneOutside    []*bitset.Set
-	PairGenes      []*bitset.Set
-	PairNeg        []bool
-	PairSizes      []int32
 }
 
 // ClassifierData is the serializable content of a whole Classifier.
@@ -86,7 +79,7 @@ func (cl *Classifier) Export() ClassifierData {
 		Opts:       cl.Opts,
 	}
 	for _, t := range cl.Tables {
-		td := TableData{
+		d.Tables = append(d.Tables, TableData{
 			Class:          t.Class,
 			ClassSamples:   t.ClassSamples,
 			OutsideSamples: t.OutsideSamples,
@@ -94,17 +87,7 @@ func (cl *Classifier) Export() ClassifierData {
 			ColGenes:       t.colGenes,
 			Exclusive:      t.exclusive,
 			GeneOutside:    t.geneOutside,
-		}
-		for _, row := range t.pairList {
-			for _, clause := range row {
-				td.PairGenes = append(td.PairGenes, clause.Genes)
-				td.PairNeg = append(td.PairNeg, clause.Neg)
-			}
-		}
-		for _, sizes := range t.pairSize {
-			td.PairSizes = append(td.PairSizes, sizes...)
-		}
-		d.Tables = append(d.Tables, td)
+		})
 	}
 	return d
 }
@@ -119,17 +102,38 @@ func BuildClassifier(d ClassifierData) (*Classifier, error) {
 	if len(d.ClassNames) == 0 || len(d.Tables) != len(d.ClassNames) {
 		return nil, fmt.Errorf("core: classifier has %d tables for %d classes", len(d.Tables), len(d.ClassNames))
 	}
+	if a := d.Opts.Arithmetization; a != MinCombine && a != ProductCombine {
+		return nil, fmt.Errorf("core: unknown arithmetization %d", a)
+	}
 	cl := &Classifier{
 		ClassNames: d.ClassNames,
 		GeneNames:  d.GeneNames,
 		Opts:       d.Opts,
 	}
+	// The tables' class samples must partition the training samples: the
+	// derived outside rows of each table are the other tables' columns.
+	n := 0
+	for _, b := range d.Tables {
+		n += len(b.ClassSamples)
+	}
+	rows := make([]*bitset.Set, n)
 	for _, b := range d.Tables {
 		t, err := buildTable(b, len(d.GeneNames))
 		if err != nil {
 			return nil, err
 		}
+		for c, si := range b.ClassSamples {
+			if si < 0 || si >= n || rows[si] != nil {
+				return nil, fmt.Errorf("core: model table %d sample %d is out of range or in two tables", b.Class, si)
+			}
+			rows[si] = b.ColGenes[c]
+		}
 		cl.Tables = append(cl.Tables, t)
+	}
+	for _, t := range cl.Tables {
+		if err := t.linkOutside(rows); err != nil {
+			return nil, err
+		}
 	}
 	return cl, nil
 }
@@ -150,11 +154,6 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 		return nil, fmt.Errorf("core: model table %d has %d exclusive flags for %d genes", b.Class, len(b.Exclusive), b.NumGenes)
 	case len(b.GeneOutside) != b.NumGenes:
 		return nil, fmt.Errorf("core: model table %d has %d outside sets for %d genes", b.Class, len(b.GeneOutside), b.NumGenes)
-	case len(b.PairGenes) != nc*nh || len(b.PairNeg) != len(b.PairGenes):
-		return nil, fmt.Errorf("core: model table %d has inconsistent pair lists", b.Class)
-	case b.PairSizes != nil && len(b.PairSizes) != len(b.PairGenes):
-		return nil, fmt.Errorf("core: model table %d has %d pair sizes for %d pair lists",
-			b.Class, len(b.PairSizes), len(b.PairGenes))
 	}
 	for c, s := range b.ColGenes {
 		if s == nil || s.Len() != b.NumGenes {
@@ -168,13 +167,7 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 				b.Class, g, setLen(s), nh)
 		}
 	}
-	for i, s := range b.PairGenes {
-		if s == nil || s.Len() != b.NumGenes {
-			return nil, fmt.Errorf("core: model table %d pair %d gene set has universe %s, want %d",
-				b.Class, i, setLen(s), b.NumGenes)
-		}
-	}
-	t := &BST{
+	return &BST{
 		Class:          b.Class,
 		ClassSamples:   b.ClassSamples,
 		OutsideSamples: b.OutsideSamples,
@@ -182,34 +175,7 @@ func buildTable(b TableData, numGenes int) (*BST, error) {
 		colGenes:       b.ColGenes,
 		exclusive:      b.Exclusive,
 		geneOutside:    b.GeneOutside,
-	}
-	t.pairList = make([][]rules.Clause, nc)
-	for c := range t.pairList {
-		t.pairList[c] = make([]rules.Clause, nh)
-		for h := 0; h < nh; h++ {
-			idx := c*nh + h
-			t.pairList[c][h] = rules.Clause{Genes: b.PairGenes[idx], Neg: b.PairNeg[idx]}
-		}
-	}
-	if b.PairSizes != nil {
-		// Adopt the persisted size cache: rows alias the flat slice, and the
-		// values are range-checked so an inconsistent file cannot smuggle a
-		// size outside what any clause over this universe can have.
-		t.pairSize = make([][]int32, nc)
-		for c := range t.pairSize {
-			row := b.PairSizes[c*nh : (c+1)*nh : (c+1)*nh]
-			for h, sz := range row {
-				if sz < 0 || int(sz) > b.NumGenes {
-					return nil, fmt.Errorf("core: model table %d pair (%d,%d) claims %d genes of %d",
-						b.Class, c, h, sz, b.NumGenes)
-				}
-			}
-			t.pairSize[c] = row
-		}
-	} else {
-		t.buildDerived()
-	}
-	return t, nil
+	}, nil
 }
 
 func setLen(s *bitset.Set) string {
@@ -228,21 +194,8 @@ func (cl *Classifier) Save(w io.Writer) error {
 		GeneNames:  d.GeneNames,
 		Opts:       d.Opts,
 	}
-	// Explicit field copy, not a struct conversion: TableData carries the
-	// optional PairSizes cache that the v1 wire format must never learn
-	// about (gob would encode the new field and change the byte stream).
 	for _, t := range d.Tables {
-		dto.Tables = append(dto.Tables, bstDTO{
-			Class:          t.Class,
-			ClassSamples:   t.ClassSamples,
-			OutsideSamples: t.OutsideSamples,
-			NumGenes:       t.NumGenes,
-			ColGenes:       t.ColGenes,
-			Exclusive:      t.Exclusive,
-			GeneOutside:    t.GeneOutside,
-			PairGenes:      t.PairGenes,
-			PairNeg:        t.PairNeg,
-		})
+		dto.Tables = append(dto.Tables, bstDTO(t))
 	}
 	return gob.NewEncoder(w).Encode(dto)
 }
@@ -262,17 +215,7 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 		Opts:       dto.Opts,
 	}
 	for _, b := range dto.Tables {
-		d.Tables = append(d.Tables, TableData{
-			Class:          b.Class,
-			ClassSamples:   b.ClassSamples,
-			OutsideSamples: b.OutsideSamples,
-			NumGenes:       b.NumGenes,
-			ColGenes:       b.ColGenes,
-			Exclusive:      b.Exclusive,
-			GeneOutside:    b.GeneOutside,
-			PairGenes:      b.PairGenes,
-			PairNeg:        b.PairNeg,
-		})
+		d.Tables = append(d.Tables, TableData(b))
 	}
 	cl, err := BuildClassifier(d)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
-		d := randomBoolDataset(r, 12, 14, 2+trial%2)
+		d := randomBoolDataset(r, 12, 14, 2+trial%2, 0)
 		orig, err := Train(d, &EvalOptions{Arithmetization: ProductCombine, CullListsTo: 3})
 		if err != nil {
 			t.Fatal(err)

@@ -3,50 +3,70 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bstc/internal/bitset"
+	"bstc/internal/dataset"
+	"bstc/internal/rules"
 )
 
 // referenceEvaluate is a naive, cell-by-cell transliteration of Algorithm 5
-// built on the public Cell accessor: it materializes every cell, computes
-// each exclusion list's satisfaction fraction independently, combines with
-// min (or product), averages down columns and across non-blank columns.
-// The optimized Evaluate (shared pair values, lazy computation, culling
-// fast paths) must agree with it exactly.
-func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation {
+// that reads the training rows directly: for every cell it builds each
+// exclusion list with bitset.Difference (Algorithm 1 lines 13-18),
+// computes its satisfaction fraction independently, culls to the
+// opts.CullListsTo shortest lists, combines with min (or product), and
+// averages down columns and across non-blank columns. The optimized
+// Evaluate (derived pair values, shared lazy computation, culling fast
+// paths) must agree with it exactly.
+func referenceEvaluate(d *dataset.Bool, t *BST, q *bitset.Set, opts EvalOptions) Evaluation {
 	colVals := make([]float64, t.NumColumns())
 	for c := range colVals {
 		colVals[c] = math.NaN()
 	}
 	var colSum float64
 	nonBlank := 0
-	for c := 0; c < t.NumColumns(); c++ {
+	for c, ci := range t.ClassSamples {
+		col := d.Rows[ci]
 		var sum float64
 		n := 0
 		for g := 0; g < t.NumGenes(); g++ {
-			if !q.Contains(g) {
+			if !q.Contains(g) || !col.Contains(g) {
 				continue
-			}
-			kind, cls := t.Cell(g, c)
-			switch kind {
-			case CellBlank:
-				continue
-			case CellDot:
-				sum++
-			case CellLists:
-				v := 1.0
-				for _, cc := range cls {
-					f := cc.Clause.SatisfactionFraction(q)
-					if arith == ProductCombine {
-						v *= f
-					} else if f < v {
-						v = f
-					}
-				}
-				sum += v
 			}
 			n++
+			var lists []rules.Clause
+			for _, hi := range t.OutsideSamples {
+				h := d.Rows[hi]
+				if !h.Contains(g) {
+					continue
+				}
+				l := rules.Clause{Genes: bitset.Difference(h, col), Neg: true}
+				if l.Genes.IsEmpty() {
+					l = rules.Clause{Genes: bitset.Difference(col, h)}
+				}
+				lists = append(lists, l)
+			}
+			if len(lists) == 0 { // black dot
+				sum++
+				continue
+			}
+			if k := opts.CullListsTo; k > 0 && len(lists) > k {
+				sort.SliceStable(lists, func(a, b int) bool {
+					return lists[a].Genes.Count() < lists[b].Genes.Count()
+				})
+				lists = lists[:k]
+			}
+			v := 1.0
+			for _, l := range lists {
+				f := l.SatisfactionFraction(q)
+				if opts.Arithmetization == ProductCombine {
+					v *= f
+				} else if f < v {
+					v = f
+				}
+			}
+			sum += v
 		}
 		if n == 0 {
 			continue
@@ -64,33 +84,54 @@ func referenceEvaluate(t *BST, q *bitset.Set, arith Arithmetization) Evaluation 
 
 func TestEvaluateMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
+	var positive, empty int
 	for trial := 0; trial < 60; trial++ {
-		d := randomBoolDataset(r, 3+r.Intn(10), 3+r.Intn(12), 2+r.Intn(2))
+		// Odd trials derive rows from earlier ones, so their tables hold
+		// H ⊂ C pairs (positive lists) and H = C pairs (empty lists).
+		nested := float64(trial%2) / 2
+		d := randomBoolDataset(r, 3+r.Intn(10), 3+r.Intn(12), 2+r.Intn(2), nested)
 		for ci := 0; ci < d.NumClasses(); ci++ {
 			bst, err := NewBST(d, ci)
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, c := range bst.ClassSamples {
+				for _, h := range bst.OutsideSamples {
+					if d.Rows[h].Equal(d.Rows[c]) {
+						empty++
+					} else if d.Rows[h].SubsetOf(d.Rows[c]) {
+						positive++
+					}
+				}
+			}
 			for qn := 0; qn < 4; qn++ {
 				q := randomRow(r, d.NumGenes())
-				for _, arith := range []Arithmetization{MinCombine, ProductCombine} {
-					got := bst.Evaluate(q, EvalOptions{Arithmetization: arith})
-					want := referenceEvaluate(bst, q, arith)
+				for _, opts := range []EvalOptions{
+					{Arithmetization: MinCombine},
+					{Arithmetization: ProductCombine},
+					{Arithmetization: MinCombine, CullListsTo: 2},
+					{Arithmetization: ProductCombine, CullListsTo: 1},
+				} {
+					got := bst.Evaluate(q, opts)
+					want := referenceEvaluate(d, bst, q, opts)
 					if math.Abs(got.Value-want.Value) > 1e-12 {
-						t.Fatalf("trial %d class %d arith %v: value %v, reference %v",
-							trial, ci, arith, got.Value, want.Value)
+						t.Fatalf("trial %d class %d opts %+v: value %v, reference %v",
+							trial, ci, opts, got.Value, want.Value)
 					}
 					for c := range want.ColumnValues {
 						g, w := got.ColumnValues[c], want.ColumnValues[c]
 						if math.IsNaN(g) != math.IsNaN(w) ||
 							(!math.IsNaN(g) && math.Abs(g-w) > 1e-12) {
-							t.Fatalf("trial %d class %d arith %v col %d: %v vs reference %v",
-								trial, ci, arith, c, g, w)
+							t.Fatalf("trial %d class %d opts %+v col %d: %v vs reference %v",
+								trial, ci, opts, c, g, w)
 						}
 					}
 				}
 			}
 		}
+	}
+	if positive == 0 || empty == 0 {
+		t.Fatalf("generator produced %d H ⊂ C pairs and %d H = C pairs; want both", positive, empty)
 	}
 }
 
@@ -101,7 +142,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 func TestCellAccessorsConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
-		d := randomBoolDataset(r, 8, 10, 2)
+		d := randomBoolDataset(r, 8, 10, 2, 0)
 		bst, err := NewBST(d, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +177,7 @@ func TestCellAccessorsConsistent(t *testing.T) {
 func TestPairClauseSemantics(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	for trial := 0; trial < 30; trial++ {
-		d := randomBoolDataset(r, 7, 9, 2)
+		d := randomBoolDataset(r, 7, 9, 2, 0)
 		bst, err := NewBST(d, 0)
 		if err != nil {
 			t.Fatal(err)

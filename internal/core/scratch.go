@@ -11,13 +11,20 @@ import (
 // backed by one flat slab (one |outside|-sized stripe per column),
 // materialized lazily per column exactly like the old per-call allocation;
 // touched remembers which stripes were handed out so reset stays
-// proportional to the work actually done, not the table size.
+// proportional to the work actually done, not the table size. q is the
+// query, outQ[h] caches |H∩q| per outside sample (-1 until first needed),
+// and qAndCol / qcCount hold q∩C of the column being evaluated;
+// pairFraction derives every pair value from them.
 type evalScratch struct {
 	pairV   [][]float64
 	slab    []float64
 	touched []int
 	colVals []float64
+	q       *bitset.Set
+	outQ    []int32
 	qAndCol *bitset.Set
+	qcCount int
+	hits    int64 // pair-value cache hits, added to met by putScratch
 }
 
 // reset prepares the scratch for a fresh query.
@@ -29,6 +36,18 @@ func (s *evalScratch) reset() {
 	for c := range s.colVals {
 		s.colVals[c] = math.NaN()
 	}
+	for h := range s.outQ {
+		s.outQ[h] = -1
+	}
+}
+
+// setColumn makes q the query and column gene set col the current column:
+// qAndCol = q∩col. It returns |q∩col|.
+func (s *evalScratch) setColumn(q, col *bitset.Set) int {
+	s.q = q
+	q.IntersectInto(s.qAndCol, col)
+	s.qcCount = s.qAndCol.Count()
+	return s.qcCount
 }
 
 // column returns the pair-value cache stripe of column c, materializing it
@@ -59,8 +78,15 @@ func (t *BST) getScratch() *evalScratch {
 		slab:    make([]float64, cols*outs),
 		touched: make([]int, 0, cols),
 		colVals: make([]float64, cols),
+		outQ:    make([]int32, outs),
 		qAndCol: bitset.New(t.numGenes),
 	}
 }
 
-func (t *BST) putScratch(s *evalScratch) { t.scratch.Put(s) }
+// putScratch publishes the query's cache hits and returns s to the pool,
+// dropping its reference to the query.
+func (t *BST) putScratch(s *evalScratch) {
+	met.clauseCacheHits.Add(s.hits)
+	s.hits, s.q = 0, nil
+	t.scratch.Put(s)
+}

@@ -28,7 +28,7 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector, so pooled paths allocate")
 	}
 	r := rand.New(rand.NewSource(11))
-	d := randomBoolDataset(r, 20, 30, 2)
+	d := randomBoolDataset(r, 20, 30, 2, 0)
 	cl, err := Train(d, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -9,17 +9,19 @@ import (
 	"bstc/internal/bitset"
 )
 
-// Model persistence: a fitted discretizer serializes to a self-contained
-// gob stream so the cut points learned at training time can be reapplied at
-// serving time (see internal/eval's Artifact, which pairs a saved Model
-// with a saved core.Classifier). The derived fields (Selected, itemBase)
-// are rebuilt on load and the stream is validated, so a loaded model either
-// behaves exactly like the one saved or the load fails.
+// Model persistence: a fitted discretizer's cut points are what training
+// hands to serving (see internal/eval's Artifact, which stores them beside
+// the classifier tables). NewModel is the constructor every load path goes
+// through; LoadModel reads the gob stream that v1 artifacts embed. The
+// derived fields (Selected, itemBase) are rebuilt on load and the parts are
+// validated, so a loaded model either behaves exactly like the one saved or
+// the load fails.
 
 // modelFormatVersion guards against reading streams written by an
 // incompatible layout.
 const modelFormatVersion = 1
 
+// modelDTO is the v1 gob wire format; do not rename or reorder its fields.
 type modelDTO struct {
 	Version    int
 	NumGenes   int
@@ -28,18 +30,7 @@ type modelDTO struct {
 	ClassNames []string
 }
 
-// Save writes the fitted model to w.
-func (m *Model) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(modelDTO{
-		Version:    modelFormatVersion,
-		NumGenes:   m.numGenes,
-		GeneCuts:   m.GeneCuts,
-		ItemNames:  m.ItemNames,
-		ClassNames: m.ClassNames,
-	})
-}
-
-// LoadModel reads a model previously written by Save. The stream is
+// LoadModel reads a model gob stream as embedded in v1 artifacts. The stream is
 // validated structurally (version, cut ordering and finiteness, item-name
 // arity) and the derived index fields are rebuilt, so anything accepted
 // transforms data exactly as the saved model did.
@@ -54,8 +45,8 @@ func LoadModel(r io.Reader) (*Model, error) {
 // NewModel assembles a model from its persisted parts — gene count, per-gene
 // cut points, item and class vocabularies — applying the same structural
 // validation as LoadModel and rebuilding the derived index fields. It is the
-// constructor for alternative save formats (internal/eval's mapped v2 layout)
-// so every load path shares one validation gate.
+// constructor for internal/eval's flat artifact layout, so every load path
+// shares one validation gate.
 func NewModel(numGenes int, geneCuts [][]float64, itemNames, classNames []string) (*Model, error) {
 	return modelFromDTO(modelDTO{
 		Version:    modelFormatVersion,

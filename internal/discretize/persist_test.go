@@ -2,6 +2,7 @@ package discretize
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -21,17 +22,30 @@ func persistTestData() *dataset.Continuous {
 	}
 }
 
+// saveV1 encodes m as the gob stream v1 artifacts embed, the input
+// LoadModel reads.
+func saveV1(t *testing.T, m *Model) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(modelDTO{
+		Version:    modelFormatVersion,
+		NumGenes:   m.numGenes,
+		GeneCuts:   m.GeneCuts,
+		ItemNames:  m.ItemNames,
+		ClassNames: m.ClassNames,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	c := persistTestData()
 	m, err := Fit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := LoadModel(saveV1(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +145,7 @@ func TestLoadModelRebuildsDerivedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := LoadModel(saveV1(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}

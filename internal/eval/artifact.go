@@ -19,9 +19,10 @@ import (
 // entropy-MDL discretizer and the BSTC classifier trained on its output.
 // Together they are the whole inference pipeline — continuous expression
 // vector → boolean item row → class — so a daemon holding an Artifact needs
-// no training data. The two halves are produced and consumed by their own
-// packages (discretize.Model.Save / core.Classifier.Save); this type only
-// frames them into one stream and checks they belong together.
+// no training data. SaveV2 writes it in the flat layout (artifact_v2.go);
+// LoadArtifact also reads the v1 gob stream earlier releases wrote, which
+// framed a discretize and a core gob stream into one message, and checks
+// the two halves belong together.
 type Artifact struct {
 	Disc       *discretize.Model
 	Classifier *core.Classifier
@@ -33,18 +34,18 @@ type Artifact struct {
 // with errors.Is. Corruption never panics.
 var ErrCorruptArtifact = errors.New("eval: corrupt artifact")
 
-// artifactMagic leads the stream so a truncated or foreign file fails fast
-// with a clear error instead of a gob decode message.
+// artifactMagic leads a v1 stream.
 const artifactMagic = "BSTC-ARTIFACT\n"
 
-// artifactFormatVersion guards the framing layout; the nested streams carry
-// their own versions.
+// artifactFormatVersion is the v1 framing version; the nested streams
+// carry their own versions.
 const artifactFormatVersion = 1
 
+// artifactDTO is the v1 gob frame; do not rename or reorder its fields.
 type artifactDTO struct {
 	Version    int
-	Disc       []byte // discretize.Model.Save stream
-	Classifier []byte // core.Classifier.Save stream
+	Disc       []byte // discretize gob stream (discretize.LoadModel)
+	Classifier []byte // core gob stream (core.LoadClassifier)
 }
 
 // TrainArtifact runs the full training pipeline on a labeled continuous
@@ -70,35 +71,8 @@ func TrainArtifact(c *dataset.Continuous, opts *core.EvalOptions, workers int) (
 	return &Artifact{Disc: model, Classifier: cl}, nil
 }
 
-// Save writes the artifact to w: the magic header followed by one gob
-// message framing the two nested save streams.
-func (a *Artifact) Save(w io.Writer) error {
-	if a.Disc == nil || a.Classifier == nil {
-		return fmt.Errorf("eval: artifact needs both a discretizer and a classifier")
-	}
-	if err := fault.Hit("eval.artifact.save"); err != nil {
-		return err
-	}
-	var disc, cls bytes.Buffer
-	if err := a.Disc.Save(&disc); err != nil {
-		return err
-	}
-	if err := a.Classifier.Save(&cls); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, artifactMagic); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(artifactDTO{
-		Version:    artifactFormatVersion,
-		Disc:       disc.Bytes(),
-		Classifier: cls.Bytes(),
-	})
-}
-
-// LoadArtifact reads an artifact previously written by Save or SaveV2,
-// sniffing the magic to dispatch between the v1 gob stream and the v2 flat
-// layout (decoded copying, since a reader offers no stable memory to alias;
+// LoadArtifact reads an artifact written by SaveV2, or a v1 gob stream,
+// sniffing the magic to dispatch between the two (decoded copying, since a reader offers no stable memory to alias;
 // use LoadArtifactMapped for the zero-copy path). Both formats are
 // validated end to end, including that the halves agree: the classifier's
 // item vocabulary must be exactly the discretizer's, or every

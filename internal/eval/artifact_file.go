@@ -15,20 +15,14 @@ import (
 // destination: readers see the old complete file or the new complete file,
 // nothing in between. Reading offers the mmap-backed zero-copy path.
 
-// Artifact file formats accepted by WriteArtifactFile.
-const (
-	// FormatGob is the v1 gob stream (Save) — the long-standing default,
-	// readable by every released loader.
-	FormatGob = "gob"
-	// FormatV2 is the flat mappable layout (SaveV2) that
-	// LoadArtifactMapped serves zero-copy.
-	FormatV2 = "v2"
-)
+// FormatV2 names the flat mappable layout (SaveV2) that LoadArtifactMapped
+// serves zero-copy, the one format WriteArtifactFile writes.
+const FormatV2 = "v2"
 
-// WriteArtifactFile writes the artifact to path in the given format
-// (FormatGob or FormatV2) atomically: the bytes land in an O_EXCL temp file
-// next to path, are fsynced, and only then renamed over the destination,
-// followed by a directory sync so the rename itself is durable.
+// WriteArtifactFile writes the artifact to path in the given format (only
+// FormatV2) atomically: the bytes land in an O_EXCL temp file next to path,
+// are fsynced, and only then renamed over the destination, followed by a
+// directory sync so the rename itself is durable.
 func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
@@ -43,13 +37,10 @@ func WriteArtifactFile(path string, a *Artifact, format string) (err error) {
 	}()
 
 	w := bufio.NewWriter(tmp)
-	switch format {
-	case FormatGob:
-		err = a.Save(w)
-	case FormatV2:
+	if format == FormatV2 {
 		err = a.SaveV2(w)
-	default:
-		err = fmt.Errorf("eval: unknown artifact format %q (want %q or %q)", format, FormatGob, FormatV2)
+	} else {
+		err = fmt.Errorf("eval: unknown artifact format %q (want %q)", format, FormatV2)
 	}
 	if err == nil {
 		err = w.Flush()
@@ -112,7 +103,7 @@ func (m *MappedArtifact) Close() error {
 // The file must outlive the returned artifact; Close unmaps. On hosts
 // where aliasing is impossible (big-endian) the words are copied and the
 // call still succeeds. v1 gob files are rejected with ErrCorruptArtifact —
-// use LoadArtifact for format-agnostic reading.
+// use LoadArtifact to read them.
 func LoadArtifactMapped(path string) (*MappedArtifact, error) {
 	if err := fault.Hit("eval.artifact.load"); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -9,23 +10,22 @@ import (
 // bytes and that anything it accepts is internally consistent enough to
 // survive a save→load round trip.
 func FuzzLoadArtifact(f *testing.F) {
-	art, err := TrainArtifact(tinyContinuous(), nil, 1)
+	good, err := os.ReadFile(goldenV1Path)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seed bytes.Buffer
-	if err := art.Save(&seed); err != nil {
-		f.Fatal(err)
-	}
-	good := seed.Bytes()
 	f.Add(good)
 	f.Add([]byte(artifactMagic))
 	f.Add(good[:len(good)/2])
 	f.Add([]byte(nil))
 	f.Add(bytes.Replace(good, []byte{0x01}, []byte{0x02}, 3))
-	// v2 flat-layout seeds: the full image, the bare magic, a header-only
+	// Flat-layout seeds: the current image, the bare magic, a header-only
 	// prefix, a mid-metadata truncation, and one byte short of complete, so
 	// the fuzzer explores the offset-indexed decoder, not just gob.
+	art, err := TrainArtifact(tinyContinuous(), nil, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
 	var seedV2 bytes.Buffer
 	if err := art.SaveV2(&seedV2); err != nil {
 		f.Fatal(err)
@@ -60,6 +60,14 @@ func FuzzLoadArtifact(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	// The version-2 golden, whose pair blocks the decoder reads and
+	// discards, whole and cut inside those blocks.
+	goldenV2, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(goldenV2)
+	f.Add(goldenV2[:3*len(goldenV2)/4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := LoadArtifact(bytes.NewReader(data))
 		if err != nil {
@@ -69,7 +77,7 @@ func FuzzLoadArtifact(f *testing.F) {
 			t.Fatalf("accepted artifact fails validation: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := a.Save(&buf); err != nil {
+		if err := a.SaveV2(&buf); err != nil {
 			t.Fatalf("cannot re-save accepted artifact: %v", err)
 		}
 		if _, err := LoadArtifact(&buf); err != nil {

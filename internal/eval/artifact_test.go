@@ -40,7 +40,7 @@ func TestArtifactRoundTripPaperDatasets(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := art.Save(&buf); err != nil {
+			if err := art.SaveV2(&buf); err != nil {
 				t.Fatal(err)
 			}
 			saved := append([]byte(nil), buf.Bytes()...)
@@ -84,7 +84,7 @@ func TestArtifactRoundTripPaperDatasets(t *testing.T) {
 				}
 			}
 			var again bytes.Buffer
-			if err := loaded.Save(&again); err != nil {
+			if err := loaded.SaveV2(&again); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(saved, again.Bytes()) {
@@ -105,10 +105,10 @@ func TestTrainArtifactWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b1, b8 bytes.Buffer
-	if err := a1.Save(&b1); err != nil {
+	if err := a1.SaveV2(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a8.Save(&b8); err != nil {
+	if err := a8.SaveV2(&b8); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b8.Bytes()) {
@@ -122,7 +122,7 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := art.Save(&buf); err != nil {
+	if err := art.SaveV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -133,6 +133,7 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 		"truncated magic": good[:4],
 		"truncated body":  good[:len(good)-7],
 		"magic only":      []byte(artifactMagic),
+		"v2 magic only":   []byte(artifactMagicV2),
 	}
 	for name, data := range cases {
 		if _, err := LoadArtifact(bytes.NewReader(data)); err == nil {
@@ -150,7 +151,7 @@ func TestLoadArtifactRejectsBadStreams(t *testing.T) {
 	}
 	franken := &Artifact{Disc: mismatched.Disc, Classifier: art.Classifier}
 	var fb bytes.Buffer
-	if err := franken.Save(&fb); err != nil {
+	if err := franken.SaveV2(&fb); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadArtifact(&fb); err == nil {

@@ -24,7 +24,7 @@ import (
 //
 //	offset 0   magic "BSTCART2"                  (8 bytes)
 //	offset 8   header                            (48 bytes)
-//	             u32 version (=2), u32 reserved
+//	             u32 version (=3), u32 reserved
 //	             u64 metaOff, u64 metaLen
 //	             u64 wordsOff, u64 wordsLen
 //	             u32 metaCRC, u32 wordsCRC       (CRC-32C, Castagnoli)
@@ -33,19 +33,21 @@ import (
 //	wordsOff   words section                     (wordsLen bytes, 8-aligned)
 //
 // All integers are little-endian. Bitsets always appear in slices whose
-// members share one universe (column gene sets, outside-expresser sets,
-// pair-list gene sets), so the metadata references each slice as one block
-// (count, n, wordOff): count sets over [0, n), stored back to back at
-// words[wordOff:], ⌈n/64⌉ words each. The loader bounds-checks the block
-// once and carves read-only views out of it in a single pass
-// (bitset.ViewBlock), which is what keeps mapped cold start proportional
-// to the metadata — per set it costs a padding-bit test and two pointer
-// stores, never a decode. The metadata also persists each table's
-// pair-size cache (core.TableData.PairSizes), so loading skips the one
-// remaining full pass v1 pays over the pair lists' words.
+// members share one universe (column gene sets, outside-expresser sets),
+// so the metadata references each slice as one block (count, n, wordOff):
+// count sets over [0, n), stored back to back at words[wordOff:], ⌈n/64⌉
+// words each. The loader bounds-checks the block once and carves read-only
+// views out of it in a single pass (bitset.ViewBlock), which is what keeps
+// mapped cold start proportional to the metadata — per set it costs a
+// padding-bit test and two pointer stores, never a decode.
+//
+// The BST exclusion lists are not stored: core derives them from the
+// column sets at load. Version-2 images, which also stored one list per
+// (column, outside sample) pair, still load; their pair blocks are read
+// and discarded.
 const (
 	artifactMagicV2   = "BSTCART2"
-	artifactVersionV2 = 2
+	artifactVersionV2 = 3
 	v2HeaderLen       = 8 + 4 + 4 + 4*8 + 4 + 4 // magic through wordsCRC
 )
 
@@ -90,13 +92,6 @@ func (e *metaEnc) bools(vs []bool) {
 		} else {
 			e.b = append(e.b, 0)
 		}
-	}
-}
-
-func (e *metaEnc) i32s(vs []int32) {
-	e.u64(uint64(len(vs)))
-	for _, v := range vs {
-		e.u64(uint64(uint32(v)))
 	}
 }
 
@@ -219,23 +214,6 @@ func (d *metaDec) bools() []bool {
 	return out
 }
 
-func (d *metaDec) i32s() []int32 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v := d.u64()
-		if v > math.MaxInt32 {
-			d.fail("metadata value %d overflows int32", v)
-			return nil
-		}
-		out[i] = int32(v)
-	}
-	return out
-}
-
 func (d *metaDec) f64s() []float64 {
 	n := d.count(8)
 	if d.err != nil || n == 0 {
@@ -352,9 +330,6 @@ func appendV2(dst []byte, a *Artifact) ([]byte, error) {
 		sets.refs(&meta, t.ColGenes)
 		meta.bools(t.Exclusive)
 		sets.refs(&meta, t.GeneOutside)
-		sets.refs(&meta, t.PairGenes)
-		meta.bools(t.PairNeg)
-		meta.i32s(t.PairSizes)
 	}
 	if sets.err != nil {
 		return nil, sets.err
@@ -422,8 +397,9 @@ func decodeV2(data []byte, alias bool) (*Artifact, error) {
 	if h.err != nil {
 		return corrupt("header: %v", h.err)
 	}
-	if ver := uint32(verWord); ver != artifactVersionV2 {
-		return corrupt("format version %d, want %d", ver, artifactVersionV2)
+	ver := uint32(verWord)
+	if ver != 2 && ver != artifactVersionV2 {
+		return corrupt("format version %d, want 2 or %d", ver, artifactVersionV2)
 	}
 	n := uint64(len(data))
 	switch {
@@ -480,10 +456,14 @@ func decodeV2(data []byte, alias bool) (*Artifact, error) {
 			ColGenes:       sets.refs(),
 			Exclusive:      d.bools(),
 			GeneOutside:    sets.refs(),
-			PairGenes:      sets.refs(),
-			PairNeg:        d.bools(),
-			PairSizes:      d.i32s(),
 		})
+		if ver == 2 {
+			// Version 2 stored the pair lists (PairGenes block, PairNeg
+			// bools, PairSizes ints); read and discard them.
+			sets.refs()
+			d.bools()
+			d.ints()
+		}
 	}
 	if d.err != nil {
 		return corrupt("metadata: %v", d.err)

@@ -27,8 +27,9 @@ func savedArtifactV2(t *testing.T) []byte {
 
 // TestArtifactV2MappedParityPaperDatasets is the zero-copy acceptance pin:
 // on every paper dataset profile, a v2 artifact served through
-// LoadArtifactMapped must classify byte-identically to the v1 in-memory
-// pipeline — same classes, bit-exact confidences and per-class values.
+// LoadArtifactMapped must classify byte-identically to the freshly trained
+// in-memory pipeline — same classes, bit-exact confidences and per-class
+// values.
 func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 	for _, p := range synth.PaperProfiles(synth.Small) {
 		p := p
@@ -37,23 +38,13 @@ func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			art, err := TrainArtifact(c, nil, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// v1 round trip is the reference serving path.
-			var v1 bytes.Buffer
-			if err := art.Save(&v1); err != nil {
-				t.Fatal(err)
-			}
-			ref, err := LoadArtifact(&v1)
+			ref, err := TrainArtifact(c, nil, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			path := filepath.Join(t.TempDir(), "model.bstc")
-			if err := WriteArtifactFile(path, art, FormatV2); err != nil {
+			if err := WriteArtifactFile(path, ref, FormatV2); err != nil {
 				t.Fatal(err)
 			}
 			mapped, err := LoadArtifactMapped(path)
@@ -74,7 +65,7 @@ func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 					t.Fatal(err)
 				}
 				if wantClass != gotClass || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
-					t.Fatalf("sample %d: mapped artifact predicts (%d, %v), v1 (%d, %v)",
+					t.Fatalf("sample %d: mapped artifact predicts (%d, %v), in-memory (%d, %v)",
 						i, gotClass, gotConf, wantClass, wantConf)
 				}
 				q, err := ref.TransformRow(row)
@@ -86,13 +77,13 @@ func TestArtifactV2MappedParityPaperDatasets(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !q.Equal(mq) {
-					t.Fatalf("sample %d: discretized rows differ between v1 and mapped v2", i)
+					t.Fatalf("sample %d: discretized rows differ between in-memory and mapped", i)
 				}
 				ref.Classifier.ValuesInto(vals, q)
 				mapped.Classifier.ValuesInto(mvals, mq)
 				for ci := range vals {
 					if math.Float64bits(vals[ci]) != math.Float64bits(mvals[ci]) {
-						t.Fatalf("sample %d class %d: mapped value %v, v1 value %v",
+						t.Fatalf("sample %d class %d: mapped value %v, in-memory value %v",
 							i, ci, mvals[ci], vals[ci])
 					}
 				}
@@ -116,14 +107,6 @@ func TestArtifactV2ReaderRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(good, again.Bytes()) {
 		t.Fatal("re-saved v2 artifact is not byte-identical to the original image")
-	}
-	// Cross-format: a v2-loaded artifact saved as v1 must load again.
-	var v1 bytes.Buffer
-	if err := a.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifact(&v1); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -155,15 +138,7 @@ func TestMappedArtifactSetsAreFrozen(t *testing.T) {
 
 // TestLoadArtifactMappedRejectsV1 pins the mapped loader to the v2 layout.
 func TestLoadArtifactMappedRejectsV1(t *testing.T) {
-	art, err := TrainArtifact(tinyContinuous(), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.bstc")
-	if err := WriteArtifactFile(path, art, FormatGob); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifactMapped(path); !errors.Is(err, ErrCorruptArtifact) {
+	if _, err := LoadArtifactMapped(goldenV1Path); !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("mapped load of a v1 file: err = %v, want ErrCorruptArtifact", err)
 	}
 }
@@ -244,56 +219,54 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 		"eval.artifact.write.sync",
 		"eval.artifact.write.rename",
 	} {
-		for _, format := range []string{FormatGob, FormatV2} {
-			t.Run(site+"/"+format, func(t *testing.T) {
-				dir := t.TempDir()
-				path := filepath.Join(dir, "model.bstc")
+		t.Run(site+"/"+FormatV2, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "model.bstc")
 
-				// First fail with no prior file: nothing may appear.
-				in := fault.NewInjector(1)
-				in.Set(site, fault.Rule{Prob: 1, Err: boom})
-				fault.Enable(in)
-				err := WriteArtifactFile(path, art, format)
-				fault.Disable()
-				if !errors.Is(err, boom) {
-					t.Fatalf("fault at %s not surfaced: %v", site, err)
-				}
-				if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
-					t.Fatalf("failed first write left %s behind", path)
-				}
-				leftovers, _ := filepath.Glob(filepath.Join(dir, ".*tmp*"))
-				if len(leftovers) != 0 {
-					t.Fatalf("failed write leaked temp files: %v", leftovers)
-				}
+			// First fail with no prior file: nothing may appear.
+			in := fault.NewInjector(1)
+			in.Set(site, fault.Rule{Prob: 1, Err: boom})
+			fault.Enable(in)
+			err := WriteArtifactFile(path, art, FormatV2)
+			fault.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("fault at %s not surfaced: %v", site, err)
+			}
+			if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
+				t.Fatalf("failed first write left %s behind", path)
+			}
+			leftovers, _ := filepath.Glob(filepath.Join(dir, ".*tmp*"))
+			if len(leftovers) != 0 {
+				t.Fatalf("failed write leaked temp files: %v", leftovers)
+			}
 
-				// Now succeed, then fail an overwrite: the good file must
-				// survive byte-for-byte.
-				if err := WriteArtifactFile(path, art, format); err != nil {
-					t.Fatal(err)
-				}
-				before, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in = fault.NewInjector(1)
-				in.Set(site, fault.Rule{Prob: 1, Err: boom})
-				fault.Enable(in)
-				err = WriteArtifactFile(path, art, format)
-				fault.Disable()
-				if !errors.Is(err, boom) {
-					t.Fatalf("fault at %s not surfaced on overwrite: %v", site, err)
-				}
-				after, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(before, after) {
-					t.Fatal("failed overwrite tore the existing artifact")
-				}
-				if _, err := LoadArtifact(bytes.NewReader(after)); err != nil {
-					t.Fatalf("artifact after failed overwrite no longer loads: %v", err)
-				}
-			})
-		}
+			// Now succeed, then fail an overwrite: the good file must
+			// survive byte-for-byte.
+			if err := WriteArtifactFile(path, art, FormatV2); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in = fault.NewInjector(1)
+			in.Set(site, fault.Rule{Prob: 1, Err: boom})
+			fault.Enable(in)
+			err = WriteArtifactFile(path, art, FormatV2)
+			fault.Disable()
+			if !errors.Is(err, boom) {
+				t.Fatalf("fault at %s not surfaced on overwrite: %v", site, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("failed overwrite tore the existing artifact")
+			}
+			if _, err := LoadArtifact(bytes.NewReader(after)); err != nil {
+				t.Fatalf("artifact after failed overwrite no longer loads: %v", err)
+			}
+		})
 	}
 }

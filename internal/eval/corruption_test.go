@@ -3,7 +3,11 @@ package eval
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"bstc/internal/core"
 )
 
 // loadNoPanic runs LoadArtifact with a panic trap so a corrupt stream that
@@ -26,17 +30,64 @@ func loadNoPanic(t *testing.T, what string, data []byte) (*Artifact, error) {
 	return a, err
 }
 
+// savedArtifact returns the v1 golden stream, the one v1 image there is.
 func savedArtifact(t *testing.T) []byte {
 	t.Helper()
-	art, err := TrainArtifact(tinyContinuous(), nil, 1)
+	data, err := os.ReadFile(goldenV1Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := art.Save(&buf); err != nil {
-		t.Fatal(err)
+	return data
+}
+
+// TestLoadArtifactRejectsCorruptTables writes well-framed images whose
+// classifier content is inconsistent — the checksums hold, the semantics do
+// not — and asserts both loaders reject each with ErrCorruptArtifact, never
+// a panic. The derived outside rows rely on the tables' class samples
+// partitioning the training samples and on each table's outside samples
+// being the complement of its own.
+func TestLoadArtifactRejectsCorruptTables(t *testing.T) {
+	cases := map[string]func(cl *core.Classifier){
+		"unknown arithmetization": func(cl *core.Classifier) { cl.Opts.Arithmetization = 7 },
+		"sample in two tables": func(cl *core.Classifier) {
+			cl.Tables[1].ClassSamples[0] = cl.Tables[0].ClassSamples[0]
+		},
+		"sample out of range": func(cl *core.Classifier) { cl.Tables[0].ClassSamples[0] = 99 },
+		"own sample outside": func(cl *core.Classifier) {
+			cl.Tables[0].OutsideSamples[0] = cl.Tables[0].ClassSamples[0]
+		},
+		"outside sample twice": func(cl *core.Classifier) {
+			cl.Tables[0].OutsideSamples[1] = cl.Tables[0].OutsideSamples[0]
+		},
+		"outside sample missing": func(cl *core.Classifier) {
+			tb := cl.Tables[0]
+			tb.OutsideSamples = tb.OutsideSamples[:len(tb.OutsideSamples)-1]
+		},
 	}
-	return buf.Bytes()
+	path := filepath.Join(t.TempDir(), "bad.bstc")
+	for name, corrupt := range cases {
+		art, err := TrainArtifact(tinyContinuous(), nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(art.Classifier)
+		var buf bytes.Buffer
+		if err := art.SaveV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadNoPanic(t, name, buf.Bytes()); !errors.Is(err, ErrCorruptArtifact) {
+			t.Errorf("%s: LoadArtifact err = %v, want ErrCorruptArtifact", name, err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := LoadArtifactMapped(path); !errors.Is(err, ErrCorruptArtifact) {
+			t.Errorf("%s: LoadArtifactMapped err = %v, want ErrCorruptArtifact", name, err)
+			if m != nil {
+				m.Close()
+			}
+		}
+	}
 }
 
 // TestLoadArtifactEveryTruncation chops the stream at every byte boundary: a

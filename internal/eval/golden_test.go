@@ -4,46 +4,27 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
-const goldenV1Path = "testdata/artifact_v1.golden"
+// Artifacts written by earlier releases, both trained on tinyContinuous:
+// a v1 gob stream and a version-2 flat image, which still stored the BST
+// exclusion lists. Neither can be regenerated — no writer for either
+// exists any more — so they pin the legacy read paths.
+const (
+	goldenV1Path = "testdata/artifact_v1.golden"
+	goldenV2Path = "testdata/artifact_v2.golden"
+)
 
-// TestGoldenV1BackCompat proves v1 gob artifacts written by earlier
-// releases still load: the committed golden file (trained on the
-// tinyContinuous fixture when the v1 framing was pinned) must load, match
-// a freshly trained artifact bit-exactly on every fixture sample, and
-// re-save byte-identically — so the v1 writer as well as the reader is
-// still wire-compatible.
-//
-// Regenerate with UPDATE_GOLDEN=1 only alongside a deliberate,
-// documented format break.
-func TestGoldenV1BackCompat(t *testing.T) {
+// matchesFresh asserts a loaded legacy artifact classifies every fixture
+// sample bit-exactly like a freshly trained one, and that re-encoding it
+// yields the fresh artifact's current image.
+func matchesFresh(t *testing.T, what string, loaded *Artifact) {
+	t.Helper()
 	c := tinyContinuous()
 	fresh, err := TrainArtifact(c, nil, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		var buf bytes.Buffer
-		if err := fresh.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenV1Path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenV1Path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenV1Path)
-	if err != nil {
-		t.Fatalf("reading golden v1 artifact (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	loaded, err := LoadArtifact(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden v1 artifact no longer loads: %v", err)
 	}
 	for i, row := range c.Values {
 		wantClass, wantConf, err := fresh.ClassifyRow(row)
@@ -55,15 +36,53 @@ func TestGoldenV1BackCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wantClass != gotClass || math.Float64bits(wantConf) != math.Float64bits(gotConf) {
-			t.Fatalf("sample %d: golden artifact predicts (%d, %v), fresh training (%d, %v)",
-				i, gotClass, gotConf, wantClass, wantConf)
+			t.Fatalf("%s sample %d: golden artifact predicts (%d, %v), fresh training (%d, %v)",
+				what, i, gotClass, gotConf, wantClass, wantConf)
 		}
 	}
-	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
+	var want, got bytes.Buffer
+	if err := fresh.SaveV2(&want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(golden, again.Bytes()) {
-		t.Fatal("re-saving the golden v1 artifact changed its bytes: v1 writer drifted")
+	if err := loaded.SaveV2(&got); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("%s: re-encoding the golden artifact differs from fresh training", what)
+	}
+}
+
+// TestGoldenV1BackCompat proves v1 gob artifacts written by earlier
+// releases still load and classify exactly like fresh training.
+func TestGoldenV1BackCompat(t *testing.T) {
+	golden, err := os.ReadFile(goldenV1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadArtifact(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("golden v1 artifact no longer loads: %v", err)
+	}
+	matchesFresh(t, "v1", loaded)
+}
+
+// TestGoldenV2BackCompat proves version-2 images, whose stored exclusion
+// lists the loader now discards, still load through both read paths and
+// classify exactly like fresh training.
+func TestGoldenV2BackCompat(t *testing.T) {
+	golden, err := os.ReadFile(goldenV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadArtifact(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("golden v2 artifact no longer loads: %v", err)
+	}
+	matchesFresh(t, "v2 reader", loaded)
+	mapped, err := LoadArtifactMapped(goldenV2Path)
+	if err != nil {
+		t.Fatalf("golden v2 artifact no longer maps: %v", err)
+	}
+	defer mapped.Close()
+	matchesFresh(t, "v2 mapped", mapped.Artifact)
 }

@@ -2,12 +2,13 @@ package eval
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
 // TestFingerprintStable pins the identity contract: the fingerprint is
-// deterministic, survives both save formats and both load paths, and
-// changes when the model changes.
+// deterministic, survives every stored format and load path, and changes
+// when the model changes.
 func TestFingerprintStable(t *testing.T) {
 	art, err := TrainArtifact(tinyContinuous(), nil, 1)
 	if err != nil {
@@ -28,25 +29,28 @@ func TestFingerprintStable(t *testing.T) {
 		t.Fatalf("fingerprint not deterministic: %q then %q", fp, again)
 	}
 
-	// A gob round trip must preserve identity.
-	var gobBuf bytes.Buffer
-	if err := art.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := loaded.Fingerprint(); err != nil || got != fp {
-		t.Fatalf("gob round trip fingerprint = %q (%v), want %q", got, err, fp)
+	// Legacy images of the same model — v1 gob and version 2, which both
+	// stored the exclusion lists — share its identity.
+	for _, path := range []string{goldenV1Path, goldenV2Path} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadArtifact(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := loaded.Fingerprint(); err != nil || got != fp {
+			t.Fatalf("%s fingerprint = %q (%v), want %q", path, got, err, fp)
+		}
 	}
 
-	// A v2 round trip must preserve identity too.
+	// A round trip must preserve identity too.
 	var v2Buf bytes.Buffer
 	if err := art.SaveV2(&v2Buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err = LoadArtifact(bytes.NewReader(v2Buf.Bytes()))
+	loaded, err := LoadArtifact(bytes.NewReader(v2Buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

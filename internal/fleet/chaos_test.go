@@ -74,15 +74,7 @@ func chaosArtifact(t *testing.T) (string, *eval.Artifact, [][]float64) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "chaos-model.bstc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := art.Save(f); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := eval.WriteArtifactFile(path, art, eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	return path, art, c.Values

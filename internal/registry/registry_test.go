@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func trainArtifact(t testing.TB, shift float64) *eval.Artifact {
 }
 
 // writeRegistry materializes a registry directory: two versions of one
-// model (v1 gob, v2 flat) and a manifest routing stable=v1.
+// model and a manifest routing stable=v1.
 func writeRegistry(t testing.TB) (dir string, arts map[string]*eval.Artifact) {
 	t.Helper()
 	dir = t.TempDir()
@@ -42,7 +43,7 @@ func writeRegistry(t testing.TB) (dir string, arts map[string]*eval.Artifact) {
 		"v1": trainArtifact(t, 0),
 		"v2": trainArtifact(t, 0.5),
 	}
-	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), arts["v1"], eval.FormatGob); err != nil {
+	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v1.bstc"), arts["v1"], eval.FormatV2); err != nil {
 		t.Fatal(err)
 	}
 	if err := eval.WriteArtifactFile(filepath.Join(dir, "model-v2.bstc"), arts["v2"], eval.FormatV2); err != nil {
@@ -79,8 +80,8 @@ func TestRegistryAcquireFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h1.Release()
-	if h1.Format != "gob" {
-		t.Errorf("v1 format = %q, want gob", h1.Format)
+	if h1.Format != "v2+mmap" {
+		t.Errorf("v1 format = %q, want v2+mmap", h1.Format)
 	}
 	h2, err := r.Acquire(m, "bstc", "v2")
 	if err != nil {
@@ -131,6 +132,50 @@ func TestRegistryAcquireFormats(t *testing.T) {
 	}
 	if _, idle := r.Stats(); idle != 0 {
 		t.Errorf("idle = %d while all handles held", idle)
+	}
+
+	// A v1 gob artifact written by an earlier release still loads, copying.
+	golden, err := os.ReadFile(filepath.Join("..", "eval", "testdata", "artifact_v1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, "model-v0.bstc"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, ManifestName), []byte(`{"version": 1,
+	  "models": [{"name": "bstc", "model_version": "v0", "path": "model-v0.bstc"}],
+	  "serve": {"model": "bstc", "stable": "v0"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lr, err := Open(Config{Dir: legacy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lr.Close()
+	lm, err := lr.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, err := lr.Acquire(lm, "bstc", "v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h0.Release()
+	if h0.Format != "gob" {
+		t.Errorf("v0 format = %q, want gob", h0.Format)
+	}
+	want, err := eval.LoadArtifact(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{1.1, 7, 0.2}
+	wc, wconf, err := want.ClassifyRow(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc, gconf, err := h0.Artifact.ClassifyRow(row); err != nil || gc != wc || gconf != wconf {
+		t.Errorf("v0: ClassifyRow = (%d, %v, %v), want (%d, %v)", gc, gconf, err, wc, wconf)
 	}
 }
 
