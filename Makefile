@@ -27,7 +27,7 @@ CHAOS_TESTS = Chaos|Fault|Panic|Watchdog|Checkpoint|Deadline|Cancel|RetryAfter|T
 CHAOS_PKGS = ./internal/fault/ ./internal/dataset/ ./internal/eval/ ./internal/serve/ ./internal/registry/ ./internal/fleet/
 CHAOS_SEED ?= 1
 
-.PHONY: check vet lint build test race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke perfbench-test
+.PHONY: check vet lint build test test-386 race bench bench-json bench-smoke bench-gate fuzz-smoke chaos load-smoke load-report fleet-smoke perfbench-test
 
 # The tier-1 gate plus the race-sensitive packages: the obs counters are
 # hit concurrently by parallel batch classification, eval threads the
@@ -64,6 +64,13 @@ race:
 
 test:
 	$(GO) test ./...
+
+# test-386 runs the BSTCE and bitset tests as 32-bit binaries, where int is
+# 32 bits: the min-cover cost model multiplies counts that overflow it at
+# paper scale, and the paper-scale OC test pins the cost model's choice.
+# An amd64 Linux host runs 386 binaries natively.
+test-386:
+	GOOS=linux GOARCH=386 $(GO) test ./internal/core/ ./internal/bitset/
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -29,9 +29,9 @@ func main() {
 	for ci, v := range values {
 		fmt.Printf("BSTCE(T(%s), Q) = %.3f\n", data.ClassNames[ci], v)
 	}
-	pred := cl.Classify(q)
+	pred, confidence := cl.ClassifyWithConfidence(q)
 	fmt.Printf("query classified as %s (confidence %.2f)\n",
-		data.ClassNames[pred], cl.Confidence(q))
+		data.ClassNames[pred], confidence)
 
 	// §5.3.2: justify the classification with the atomic cell rules the
 	// query satisfies at level >= 0.5.

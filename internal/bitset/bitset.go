@@ -239,6 +239,27 @@ func (s *Set) AndNotInto(dst, t *Set) *Set {
 	return dst
 }
 
+// Take removes the elements of t from s, one word AND-NOT at a time, calls
+// fn for each element it removed in ascending order, and reports whether s
+// is empty afterwards. It is the step of a greedy cover: s holds what is
+// still uncovered and t is the next covering set.
+func (s *Set) Take(t *Set, fn func(i int)) (empty bool) {
+	s.guardWrite()
+	s.sameUniverse(t)
+	var rest uint64
+	for wi, w := range s.words {
+		if m := w & t.words[wi]; m != 0 {
+			w &^= m
+			s.words[wi] = w
+			for ; m != 0; m &= m - 1 {
+				fn(wi*wordBits + bits.TrailingZeros64(m))
+			}
+		}
+		rest |= w
+	}
+	return rest == 0
+}
+
 // Intersect returns a new set holding s ∩ t.
 func Intersect(s, t *Set) *Set { return s.Clone().And(t) }
 

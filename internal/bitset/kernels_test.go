@@ -58,6 +58,7 @@ func TestKernelsUniverseMismatchPanics(t *testing.T) {
 		"OrInto":        func() { s.OrInto(New(20), u) },
 		"AndNotInto":    func() { New(20).AndNotInto(s, New(20)) },
 		"CopyFrom":      func() { s.CopyFrom(u) },
+		"Take":          func() { s.Take(u, func(int) {}) },
 	} {
 		func() {
 			defer func() {
@@ -101,4 +102,77 @@ func TestAppendKeyNoAllocWithCapacity(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("Key allocates %v times per run, want at most 1", n)
 	}
+}
+
+// TestTake pins Take on a hand-built case spanning a tail word: it removes
+// exactly s ∩ t, reports those elements in ascending order, and says
+// whether anything is left.
+func TestTake(t *testing.T) {
+	s := FromIndices(130, 1, 63, 64, 100, 129)
+	var got []int
+	if s.Take(FromIndices(130, 0, 63, 100, 129), func(i int) { got = append(got, i) }) {
+		t.Fatal("Take reported empty with 1 and 64 left")
+	}
+	if want := []int{63, 100, 129}; !equalInts(got, want) {
+		t.Fatalf("Take removed %v, want %v", got, want)
+	}
+	if want := FromIndices(130, 1, 64); !s.Equal(want) {
+		t.Fatalf("after Take s = %v, want %v", s, want)
+	}
+	got = got[:0]
+	if !s.Take(FromIndices(130, 1, 64, 65), func(i int) { got = append(got, i) }) {
+		t.Fatal("Take did not report empty after removing the last elements")
+	}
+	if want := []int{1, 64}; !equalInts(got, want) {
+		t.Fatalf("Take removed %v, want %v", got, want)
+	}
+	if !New(0).Take(New(0), func(int) { t.Fatal("fn called on an empty universe") }) {
+		t.Fatal("empty universe is not empty after Take")
+	}
+}
+
+// TestQuickTakeMatchesForEachAndNot is the property test: on random sets,
+// including universes with a partial tail word, Take reports the elements
+// ForEach finds in s ∩ t, leaves s \ t behind, and reports emptiness the
+// way IsEmpty does.
+func TestQuickTakeMatchesForEachAndNot(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(300)
+		if trial%3 == 0 {
+			n = 64 * r.Intn(5) // whole words only
+		}
+		s, u := randomSet(r, n), randomSet(r, n)
+		if trial%5 == 0 {
+			u = s.Clone().Or(randomSet(r, n)) // u ⊇ s: s must end empty
+		}
+		var want []int
+		Intersect(s, u).ForEach(func(i int) bool { want = append(want, i); return true })
+		rest := Difference(s, u)
+
+		var got []int
+		empty := s.Take(u, func(i int) { got = append(got, i) })
+		if !equalInts(got, want) {
+			t.Fatalf("n=%d: Take removed %v, want %v", n, got, want)
+		}
+		if !s.Equal(rest) {
+			t.Fatalf("n=%d: after Take s = %v, want %v", n, s, rest)
+		}
+		if empty != rest.IsEmpty() {
+			t.Fatalf("n=%d: Take reported empty=%v, IsEmpty=%v", n, empty, rest.IsEmpty())
+		}
+		checkInvariants(t, "Take", s)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -68,6 +68,7 @@ func TestViewSetIsReadOnlyAlias(t *testing.T) {
 		"OrInto":        func() { src.OrInto(s, src) },
 		"AndNotInto":    func() { src.AndNotInto(s, src) },
 		"Unmarshal":     func() { _ = s.UnmarshalBinary(nil) },
+		"Take":          func() { s.Take(src, func(int) {}) },
 	}
 	for name, fn := range mutations {
 		func() {

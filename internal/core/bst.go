@@ -50,6 +50,9 @@ type BST struct {
 	outRows []*bitset.Set
 	// colSize[c] = |C| and outSize[h] = |H|.
 	colSize, outSize []int32
+	// coverMin is the least |q∩C| for which BSTCE scores a column with
+	// the min-cover instead of per-cell walks (see coverMinQC).
+	coverMin int64
 	// pairInter[c*len(OutsideSamples)+h] = |H∩C|: with the two sizes it
 	// fixes the pair list's sign and length.
 	pairInter []int32
@@ -224,6 +227,11 @@ func (t *BST) linkOutside(rows []*bitset.Set) error {
 	}
 	t.colSize = rowSizes(t.colGenes)
 	t.outSize = rowSizes(t.outRows)
+	var outTotal int64
+	for _, n := range t.outSize {
+		outTotal += int64(n)
+	}
+	t.coverMin = coverMinQC(t.numGenes, len(t.outRows), outTotal)
 	nh := len(t.outRows)
 	t.pairInter = make([]int32, len(t.colGenes)*nh)
 	for c, cg := range t.colGenes {

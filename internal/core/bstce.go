@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"bstc/internal/bitset"
@@ -87,21 +88,25 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 	met.evals.Inc()
 	s.reset()
 
+	minOnly := opts.Arithmetization == MinCombine && opts.CullListsTo <= 0
 	var colSum float64
 	nonBlank := 0
 	for c := range t.ClassSamples {
 		// Genes considered in this column: expressed by both q and the
 		// column sample (Algorithm 5 line 6; Figure 3 keeps only Q's genes).
-		if s.setColumn(q, t.colGenes[c]) == 0 {
+		n := s.setColumn(q, t.colGenes[c])
+		if n == 0 {
 			continue
 		}
 		var sum float64
-		n := 0
-		s.qAndCol.ForEach(func(g int) bool {
-			sum += t.cellValue(s, g, c, opts)
-			n++
-			return true
-		})
+		if minOnly && int64(n) >= t.coverMin {
+			sum = t.coverColumn(s, c)
+		} else {
+			s.qAndCol.ForEach(func(g int) bool {
+				sum += t.cellValue(s, g, c, opts)
+				return true
+			})
+		}
 		v := sum / float64(n)
 		s.colVals[c] = v
 		colSum += v
@@ -111,6 +116,99 @@ func (t *BST) evaluate(q *bitset.Set, opts EvalOptions, s *evalScratch) float64 
 		return colSum / float64(nonBlank)
 	}
 	return 0
+}
+
+// coverMinQC is the per-column cost model choosing coverColumn over the
+// scalar cellValue walk, as the least |q∩C| at which the cover pays. The
+// scalar walk visits every outside expresser of every cell: about
+// |q∩C|·Σ|H|/|G| steps. The cover derives |O| pair values, heap-orders
+// them and takes up to |O| outside rows of `words` words each:
+// |O|·(words + log|O| + 8), the 8 standing for the per-row pair fraction
+// and loop overhead. Timed on the synthetic profiles (EXPERIMENTS.md,
+// "BSTCE min-cover"), the cover breaks even when the scalar estimate is
+// 0.35-0.5 of the cover's, so it is taken when 2·|q∩C|·Σ|H| > |G|·|O|·
+// (words + log|O| + 8), from the returned |q∩C| on. It works in int64: at
+// paper scale the right-hand side alone passes 1e7, and it grows with
+// |G|²·|O|. A table without outside expressers never takes the cover.
+func coverMinQC(genes, outs int, outTotal int64) int64 {
+	if outTotal == 0 {
+		return math.MaxInt64
+	}
+	o := int64(outs)
+	words := int64((genes + 63) / 64)
+	return int64(genes)*o*(words+int64(bits.Len64(uint64(o)))+8)/(2*outTotal) + 1
+}
+
+// coverColumn returns the sum of column c's cell values under MinCombine
+// without culling, turning the per-cell min around into a greedy cover:
+// a cell's value is the least pv[h] over the outside rows H expressing its
+// gene, so visiting the outside rows in ascending pv order hands each gene
+// of q∩C its value the first time a row covers it. Every pair fraction is
+// derived once, up front, into the column's pair-cache stripe. Rows with
+// pv = 1 are never visited: the genes they alone would cover, black dots
+// included, score 1. The per-gene values are summed in ascending gene
+// order, the scalar path's order, so the sum is bit-identical to it.
+func (t *BST) coverColumn(s *evalScratch, c int) float64 {
+	pv := s.column(c, len(t.outRows))
+	order := s.order[:0]
+	for h := range t.outRows {
+		if pv[h] = t.pairFraction(s, c, h); pv[h] < 1 {
+			order = append(order, int32(h))
+		}
+	}
+	// A min-heap, not a sort: the walk usually ends after a third of the
+	// rows, so only the rows it visits pay for their place in the order.
+	for i := len(order)/2 - 1; i >= 0; i-- {
+		siftDown(order, pv, i)
+	}
+
+	// qAndCol doubles as the set of still-uncovered genes: its only other
+	// reader, pairFraction, is done with this column.
+	u, val := s.qAndCol, s.geneVal
+	done := false
+	for len(order) > 0 {
+		h := order[0]
+		last := len(order) - 1
+		order[0] = order[last]
+		order = order[:last]
+		siftDown(order, pv, 0)
+		if u.Take(t.outRows[h], func(g int) { val[g] = pv[h] }) {
+			done = true
+			break
+		}
+	}
+	if !done {
+		u.ForEach(func(g int) bool {
+			val[g] = 1
+			return true
+		})
+	}
+	s.q.IntersectInto(u, t.colGenes[c]) // q∩C again, to sum in gene order
+	var sum float64
+	u.ForEach(func(g int) bool {
+		sum += val[g]
+		return true
+	})
+	return sum
+}
+
+// siftDown restores the min-heap order, by pv, of the outside positions h
+// below position i.
+func siftDown(h []int32, pv []float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && pv[h[r]] < pv[h[c]] {
+			c = r
+		}
+		if pv[h[i]] <= pv[h[c]] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // cellValue computes Algorithm 5 lines 7-11 for cell (g, c): 1 for black

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bstc/internal/bitset"
@@ -68,46 +67,52 @@ func (cl *Classifier) ValuesInto(dst []float64, q *bitset.Set) []float64 {
 // classification value is maximal.
 func (cl *Classifier) Classify(q *bitset.Set) int {
 	met.queries.Inc()
-	best, bestV := 0, math.Inf(-1)
-	for i, t := range cl.Tables {
-		if v := t.EvaluateValue(q, cl.Opts); v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
+	class, _ := cl.decide(q)
+	return class
+}
+
+// ClassifyWithConfidence returns Classify's class and Confidence's
+// heuristic from one evaluation of every table.
+func (cl *Classifier) ClassifyWithConfidence(q *bitset.Set) (class int, confidence float64) {
+	met.queries.Inc()
+	return cl.decide(q)
 }
 
 // ClassifyBatch classifies every row of a test dataset (which must share the
 // training gene universe) and returns the predicted class indices.
 func (cl *Classifier) ClassifyBatch(test *dataset.Bool) []int {
-	out := make([]int, test.NumSamples())
-	for i, row := range test.Rows {
-		out[i] = cl.Classify(row)
-	}
-	return out
+	return cl.ClassifyBatchParallel(test, 1)
 }
 
 // Confidence returns §8's proposed classification confidence heuristic: the
 // normalized difference between the highest and second-highest BST
 // satisfaction levels, in [0, 1]. Single-class classifiers return 1.
 func (cl *Classifier) Confidence(q *bitset.Set) float64 {
-	if len(cl.Tables) < 2 {
-		return 1
-	}
-	first, second := math.Inf(-1), math.Inf(-1)
-	for _, t := range cl.Tables {
-		v := t.EvaluateValue(q, cl.Opts)
-		if v > first {
-			first, second = v, first
-		} else if v > second {
-			second = v
-		}
-	}
-	if first <= 0 {
-		return 0
-	}
-	return (first - second) / first
+	_, confidence := cl.decide(q)
+	return confidence
 }
+
+// decide evaluates every table once, into a stack buffer for up to
+// maxStackClasses classes, and returns the smallest maximizing class with
+// its confidence (1 for a single class, as Confidence documents).
+func (cl *Classifier) decide(q *bitset.Set) (int, float64) {
+	var buf [maxStackClasses]float64
+	var vals []float64
+	if n := len(cl.Tables); n <= maxStackClasses {
+		vals = buf[:n]
+	} else {
+		vals = make([]float64, n)
+	}
+	class, confidence := argmaxWithConfidence(cl.ValuesInto(vals, q))
+	if len(vals) < 2 {
+		confidence = 1
+	}
+	return class, confidence
+}
+
+// maxStackClasses bounds the class count decide evaluates without
+// allocating; every paper dataset has two classes.
+const maxStackClasses = 16
 
 // Explanation is one atomic cell rule supporting a classification (§5.3.2):
 // the cell's gene and supporting training sample, the query's satisfaction

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -174,6 +175,50 @@ func TestConfidenceHeuristic(t *testing.T) {
 	// A query expressing nothing has value 0 everywhere → confidence 0.
 	if got := cl.Confidence(bitset.New(6)); got != 0 {
 		t.Errorf("Confidence(empty) = %v, want 0", got)
+	}
+}
+
+// TestClassifyWithConfidenceMatchesSeparateCalls pins the single-evaluation
+// path to Classify and Confidence, on multi-class tables, on a
+// single-class classifier (confidence 1 even for a query scoring 0), and
+// through the parallel row loop at several worker counts.
+func TestClassifyWithConfidenceMatchesSeparateCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	for _, classes := range []int{1, 2, 3} {
+		d := randomBoolDataset(r, 12, 40, classes, 0.3)
+		cl, err := Train(d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []*bitset.Set{bitset.New(d.NumGenes())}
+		for i := 0; i < 20; i++ {
+			rows = append(rows, randomRow(r, d.NumGenes()))
+		}
+		for i, q := range rows {
+			class, conf := cl.ClassifyWithConfidence(q)
+			if want := cl.Classify(q); class != want {
+				t.Fatalf("%d classes, row %d: class %d, Classify says %d", classes, i, class, want)
+			}
+			if want := cl.Confidence(q); math.Float64bits(conf) != math.Float64bits(want) {
+				t.Fatalf("%d classes, row %d: confidence %v, Confidence says %v", classes, i, conf, want)
+			}
+			if classes == 1 && conf != 1 {
+				t.Fatalf("single-class row %d: confidence %v, want 1", i, conf)
+			}
+		}
+		test := &dataset.Bool{GeneNames: d.GeneNames, ClassNames: d.ClassNames, Rows: rows}
+		serial := cl.ClassifyBatch(test)
+		for _, workers := range []int{0, 1, 3, 64} {
+			preds, confs := cl.ClassifyRowsWithConfidence(rows, workers)
+			batch := cl.ClassifyBatchParallel(test, workers)
+			for i, q := range rows {
+				if preds[i] != serial[i] || batch[i] != serial[i] ||
+					math.Float64bits(confs[i]) != math.Float64bits(cl.Confidence(q)) {
+					t.Fatalf("%d classes, %d workers, row %d: (%d, %d, %v), serial (%d, %v)",
+						classes, workers, i, preds[i], batch[i], confs[i], serial[i], cl.Confidence(q))
+				}
+			}
+		}
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // proportional to the work actually done, not the table size. q is the
 // query, outQ[h] caches |H∩q| per outside sample (-1 until first needed),
 // and qAndCol / qcCount hold q∩C of the column being evaluated;
-// pairFraction derives every pair value from them.
+// pairFraction derives every pair value from them. geneVal and order are
+// the min-cover's per-gene values and outside-row heap (see coverColumn);
+// they share the allocations of slab and outQ.
 type evalScratch struct {
 	pairV   [][]float64
 	slab    []float64
@@ -25,6 +27,9 @@ type evalScratch struct {
 	qAndCol *bitset.Set
 	qcCount int
 	hits    int64 // pair-value cache hits, added to met by putScratch
+
+	geneVal []float64
+	order   []int32
 }
 
 // reset prepares the scratch for a fresh query.
@@ -73,12 +78,16 @@ func (t *BST) getScratch() *evalScratch {
 		return s
 	}
 	cols, outs := len(t.ClassSamples), len(t.OutsideSamples)
+	floats := make([]float64, cols*outs+t.numGenes)
+	ints := make([]int32, 2*outs)
 	return &evalScratch{
 		pairV:   make([][]float64, cols),
-		slab:    make([]float64, cols*outs),
+		slab:    floats[: cols*outs : cols*outs],
+		geneVal: floats[cols*outs:],
 		touched: make([]int, 0, cols),
 		colVals: make([]float64, cols),
-		outQ:    make([]int32, outs),
+		outQ:    ints[:outs:outs],
+		order:   ints[outs:],
 		qAndCol: bitset.New(t.numGenes),
 	}
 }

@@ -150,5 +150,6 @@ func (a *Artifact) ClassifyRow(values []float64) (class int, confidence float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	return a.Classifier.Classify(q), a.Classifier.Confidence(q), nil
+	class, confidence = a.Classifier.ClassifyWithConfidence(q)
+	return class, confidence, nil
 }

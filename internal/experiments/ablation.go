@@ -74,14 +74,10 @@ func Ablation(ctx context.Context, w io.Writer, cfg Config, profileName string) 
 				return nil, err
 			}
 			start := obs.Now()
-			preds := cl.ClassifyBatch(ps.TestBool)
+			preds, conf := cl.ClassifyRowsWithConfidence(ps.TestBool.Rows, 1)
 			perQuery[vi] += obs.Now().Sub(start)
 			accs[vi] = append(accs[vi], stats.Accuracy(preds, ps.TestBool.Classes))
-			var conf float64
-			for _, row := range ps.TestBool.Rows {
-				conf += cl.Confidence(row)
-			}
-			confs[vi] = append(confs[vi], conf/float64(ps.TestBool.NumSamples()))
+			confs[vi] = append(confs[vi], stats.Mean(conf))
 		}
 		// §8's adaptive procedure selection over min + product.
 		ad, err := core.TrainAdaptive(ps.TrainBool)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bstc/internal/bitset"
-	"bstc/internal/dataset"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
 	"bstc/internal/obs/trace"
@@ -162,19 +161,12 @@ func (m *model) dispatch(batch []*pending) {
 				}
 			}
 		}
-		test := &dataset.Bool{
-			GeneNames:  m.art.Classifier.GeneNames,
-			ClassNames: m.art.Classifier.ClassNames,
-			Classes:    make([]int, len(batch)),
-			Rows:       rows,
-		}
-
 		ph := obs.NewPhasesIn(s.cfg.Registry)
 		span := ph.Start("serve/classify")
 		classify := flush.StartChild("serve/classify")
-		preds := m.art.Classifier.ClassifyBatchParallel(test, s.cfg.Workers)
+		preds, confs := m.art.Classifier.ClassifyRowsWithConfidence(rows, s.cfg.Workers)
 		for i, p := range batch {
-			deliver(p, result{class: preds[i], confidence: m.art.Classifier.Confidence(p.q)})
+			deliver(p, result{class: preds[i], confidence: confs[i]})
 		}
 		classify.End()
 		classifyNS := span.End()

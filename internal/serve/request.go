@@ -30,6 +30,14 @@ func decodeRequest(data []byte) (*Request, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
+	// An explicit empty list (`"items":[]`) means the same as an absent
+	// one; normalize it so the request re-encodes to itself.
+	if len(req.Values) == 0 {
+		req.Values = nil
+	}
+	if len(req.Items) == 0 {
+		req.Items = nil
+	}
 	return &req, nil
 }
 

@@ -13,10 +13,11 @@
 //
 // The request path is: decode → route (stable/canary) → discretize (per
 // request, spanned, by the routed version) → enqueue → micro-batch flush on
-// size or max-wait → core.ClassifyBatchParallel (per batch, spanned) →
-// per-request response. Predictions are exactly what core.Classify returns
-// for the same row under the same version; batching and routing change
-// latency and placement, never results.
+// size or max-wait → core.ClassifyRowsWithConfidence (per batch, spanned)
+// → per-request response. Predictions and confidences are exactly what
+// core.ClassifyWithConfidence returns for the same row under the same
+// version; batching and routing change latency and placement, never
+// results.
 //
 // Endpoints:
 //
@@ -75,7 +76,7 @@ type Config struct {
 	// MaxInFlight bounds admitted-but-unanswered requests across all
 	// versions; excess load is shed with 429 (default 4×BatchSize).
 	MaxInFlight int
-	// Workers is the goroutine count handed to ClassifyBatchParallel per
+	// Workers is the goroutine count handed to ClassifyRowsWithConfidence per
 	// batch (default GOMAXPROCS; the kernel clamps to the batch size).
 	Workers int
 	// RequestTimeout is the per-request deadline measured from admission;
