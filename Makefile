@@ -40,7 +40,11 @@ CHAOS_SEED ?= 1
 # compiles and tests the benchmark module against the current packages.
 check: vet lint build race test bench-smoke fuzz-smoke load-smoke fleet-smoke perfbench-test
 
+# vet fails on any file gofmt would change, then runs go vet.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 
 # lint runs staticcheck when it is on PATH (CI installs it; a bare dev box

@@ -4,15 +4,15 @@
 //
 //	bstcd -model model.bstc [-mmap] [-model-version v1] [-addr :8080]
 //	bstcd -registry DIR [-registry-poll 5s] [-addr :8080]
-//	      [-batch 32] [-max-wait 2ms] [-max-inflight 128] [-workers N]
+//	      [-batch 32] [-max-inflight 128] [-workers N]
 //	      [-timeout 5s] [-runlog batches.jsonl] [-trace spans.jsonl]
 //	      [-trace-sample 0.1] [-slo-latency 100ms] [-slo-target 0.999]
 //
 // Single-model mode (-model) serves one artifact file. With -mmap the model
-// must be a format-v2 artifact (`bstc artifact -format v2`); it is served
-// zero-copy out of a read-only mapping, so cold start skips deserializing
-// the bitset payload and replicas on one host share a single page-cache
-// copy. The measured load time lands on the serve.artifact_load_ns gauge
+// must be a flat v2 artifact, which is what `bstc artifact` writes; it is
+// served zero-copy out of a read-only mapping, so cold start skips
+// deserializing the bitset payload and replicas on one host share a single
+// page-cache copy. The measured load time lands on the serve.artifact_load_ns gauge
 // and /v1/model either way.
 //
 // Registry mode (-registry) serves a model registry directory: artifact
@@ -84,8 +84,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 	registryDir := fs.String("registry", "", "serve a model registry directory (manifest.json routing; hot-reload on SIGHUP)")
 	registryPoll := fs.Duration("registry-poll", 0, "also watch the registry manifest and swap when it changes (0 disables)")
 	addr := fs.String("addr", ":8080", "listen address")
-	batch := fs.Int("batch", 0, "micro-batch flush threshold (default 32)")
-	maxWait := fs.Duration("max-wait", 0, "max time a non-full batch waits (default 2ms)")
+	batch := fs.Int("batch", 0, "most queued requests one micro-batch takes (default 32); batches never wait to fill")
 	maxInflight := fs.Int("max-inflight", 0, "admitted-request bound before 429 (default 4x batch)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines per batch classify")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (default 5s)")
@@ -106,7 +105,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready func(net.Ad
 
 	cfg := serve.Config{
 		BatchSize:      *batch,
-		MaxWait:        *maxWait,
 		MaxInFlight:    *maxInflight,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
@@ -264,9 +262,9 @@ loop:
 	dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer dcancel()
 	// Drain the batching layer first: admitted requests are answered,
-	// pending batches flush immediately, every version retires and releases
-	// its artifact handle, so the HTTP handlers below can finish. New
-	// requests arriving meanwhile get fast 503s.
+	// every version retires and releases its artifact handle, so the HTTP
+	// handlers below can finish. New requests arriving meanwhile get fast
+	// 503s.
 	if err := s.Shutdown(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}

@@ -43,7 +43,7 @@ func TestFleetReplicaHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(art, serve.Config{BatchSize: 4, MaxWait: time.Millisecond})
+	srv := serve.New(art, serve.Config{BatchSize: 4})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +173,31 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The test runs the probe loop itself (ProbeOnce every ProbeInterval,
+	// as Start does) so that it can hold probes off from the kill until the
+	// first post-kill request has tried the victim. Otherwise a probe can
+	// eject the victim first, no request ever tries it, and nothing is
+	// retried.
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c.Start(ctx)
+	var probeMu sync.Mutex
+	var prober sync.WaitGroup
+	prober.Add(1)
+	go func() {
+		defer prober.Done()
+		for ctx.Err() == nil {
+			probeMu.Lock()
+			c.ProbeOnce(ctx)
+			probeMu.Unlock()
+			select {
+			case <-ctx.Done():
+			case <-time.After(c.cfg.ProbeInterval):
+			}
+		}
+	}()
+	defer func() {
+		cancel()
+		prober.Wait()
+	}()
 
 	// Reference answers straight from the artifact — the ground truth every
 	// replica must reproduce exactly.
@@ -202,10 +224,10 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		failures   []string
 		mismatches []string
 	)
-	classifyOne := func(i int) {
+	classifyOne := func(i int, key []byte) {
 		row := i % len(rows)
 		body, _ := json.Marshal(map[string][]float64{"values": rows[row]})
-		res, err := c.Classify(context.Background(), []byte(fmt.Sprintf("chaos-%d", i)), body)
+		res, err := c.Classify(context.Background(), key, body)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -241,9 +263,18 @@ func TestFleetChaosKillRestart(t *testing.T) {
 		}
 	}
 
+	// Requests are sequential, so the first post-kill request must be one
+	// the ring routes to the victim, or the kill forces no retry.
+	victimKey := keyWithPrimary(t, c, urls[victim])
 	for i := 0; i < total; i++ {
 		if i == killAt {
-			replicas[victim].kill(t)
+			func() {
+				probeMu.Lock()
+				defer probeMu.Unlock()
+				replicas[victim].kill(t)
+				classifyOne(i, victimKey)
+			}()
+			continue
 		}
 		if i == restartAt {
 			// The swap removes the dead member and adds the fresh one (a new
@@ -266,7 +297,7 @@ func TestFleetChaosKillRestart(t *testing.T) {
 			}
 			replicas[victim] = fresh
 		}
-		classifyOne(i)
+		classifyOne(i, []byte(fmt.Sprintf("chaos-%d", i)))
 	}
 
 	if len(failures) != 0 {

@@ -17,71 +17,36 @@ import (
 // timeouts; handlers map it to 504.
 var errWatchdog = errors.New("serve: batch watchdog expired")
 
-// runBatcher is one version's coalescing loop: it accumulates requests
-// routed to this version into a batch and dispatches when the batch fills,
-// when the oldest request has waited MaxWait, or immediately once the
-// version (or the whole server) is draining. Dispatch runs on its own
-// goroutine so the next batch forms while the previous one classifies.
-// Batches never mix versions — each model has its own queue and loop.
+// runBatcher is one version's coalescing loop: it takes the next request
+// plus whatever else is already queued (see nextBatch) and dispatches the
+// lot on its own goroutine, so it is back at the queue at once. An idle
+// version therefore answers at once, and rows coalesce only when requests
+// arrive faster than the loop drains them — with no flush timer. A wedged
+// batch holds up only its own rows. Batches never mix versions: each model
+// has its own queue and loop. The loop ends when retire closes the queue.
 func (m *model) runBatcher() {
 	defer m.batcher.Done()
-	cfg := &m.s.cfg
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	for p := range m.queue {
+		m.dispatch(nextBatch(p, m.queue, m.s.cfg.BatchSize))
 	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
-		}
-		timerLive = false
-	}
-	var batch []*pending
-	flush := func() {
-		stopTimer()
-		if len(batch) > 0 {
-			m.dispatch(batch)
-			batch = nil
-		}
-	}
-	for {
-		if len(batch) == 0 {
-			select {
-			case p, ok := <-m.queue:
-				if !ok {
-					return
-				}
-				batch = append(batch, p)
-				if len(batch) >= cfg.BatchSize || m.draining() {
-					flush()
-					continue
-				}
-				timer.Reset(cfg.MaxWait)
-				timerLive = true
-			case <-m.kick:
-				// Draining with nothing buffered: loop around; the next
-				// queue receive (or close) resolves promptly.
-			}
-			continue
-		}
+}
+
+// nextBatch returns p followed by the requests already waiting in queue,
+// up to limit rows in all. It never blocks.
+func nextBatch(p *pending, queue <-chan *pending, limit int) []*pending {
+	batch := []*pending{p}
+	for len(batch) < limit {
 		select {
-		case p, ok := <-m.queue:
+		case next, ok := <-queue:
 			if !ok {
-				flush()
-				return
+				return batch
 			}
-			batch = append(batch, p)
-			if len(batch) >= cfg.BatchSize || m.draining() {
-				flush()
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
-		case <-m.kick:
-			flush()
+			batch = append(batch, next)
+		default:
+			return batch
 		}
 	}
+	return batch
 }
 
 // deliver hands res to p without ever blocking: done is buffered with one

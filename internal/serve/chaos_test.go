@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -53,6 +54,18 @@ func failureRecords(t *testing.T, raw, site string) []obs.RunRecord {
 		}
 	}
 	return out
+}
+
+// parkBatches arms the serve.batch fault site to hold the next n batch
+// flushes for d, keeping their requests in flight. The returned injector's
+// Counts show when a batch has parked.
+func parkBatches(t *testing.T, n int, d time.Duration) *fault.Injector {
+	t.Helper()
+	in := fault.NewInjector(1)
+	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: n, Latency: d})
+	fault.Enable(in)
+	t.Cleanup(fault.Disable)
+	return in
 }
 
 func counterValue(reg *obs.Registry, name string) int64 {
@@ -136,19 +149,16 @@ func TestHandlerPanicContained(t *testing.T) {
 
 // TestWatchdogFailsWedgedBatch wedges the batch worker (injected latency far
 // past the request timeout) and checks the watchdog fires: the request is
-// failed with 504 instead of hanging, the counter moves, and the run log
-// gets an all-goroutine stack dump.
+// failed with 504 instead of hanging, the counter moves, the run log gets
+// an all-goroutine stack dump, and the next request classifies while the
+// wedged worker still sleeps.
 func TestWatchdogFailsWedgedBatch(t *testing.T) {
-	in := fault.NewInjector(12)
-	in.Set("serve.batch", fault.Rule{Prob: 1, MaxFires: 1, Latency: 400 * time.Millisecond})
-	fault.Enable(in)
-	defer fault.Disable()
-
+	parkBatches(t, 1, time.Second)
 	reg := obs.NewRegistry()
 	var logBuf syncBuffer
 	s := New(testArtifact(t), Config{
 		BatchSize:      1,
-		RequestTimeout: 50 * time.Millisecond,
+		RequestTimeout: 100 * time.Millisecond,
 		WatchdogFactor: 2,
 		Registry:       reg,
 		RunLog:         obs.NewRunLog(&logBuf),
@@ -167,6 +177,13 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	if got := counterValue(reg, "serve.watchdog_fires"); got == 0 {
 		t.Fatal("watchdog never fired")
 	}
+	status, body := postClassify(t, ts.URL, valuesBody(t, testSamples()[0]))
+	if status != http.StatusOK {
+		t.Fatalf("request after the watchdog fired: status %d (%s), want 200", status, body)
+	}
+	if got := counterValue(reg, "serve.batches"); got != 1 {
+		t.Errorf("serve.batches = %d, want 1 (the wedged batch should still be sleeping)", got)
+	}
 	// Close drains the wedged worker, so the log is complete and quiescent.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -180,14 +197,47 @@ func TestWatchdogFailsWedgedBatch(t *testing.T) {
 	}
 }
 
+// TestWedgedBatchDoesNotStallVersion parks a batch well past the request
+// deadline with the watchdog off: its request gets 504, and a request sent
+// after that 504, while the parked batch still sleeps, must classify on the
+// same version with a 200 — a slow batch holds up only its own rows.
+func TestWedgedBatchDoesNotStallVersion(t *testing.T) {
+	parkBatches(t, 1, time.Second)
+	art := testArtifact(t)
+	s := New(art, Config{
+		BatchSize:      1,
+		RequestTimeout: 100 * time.Millisecond,
+		WatchdogFactor: -1,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	row := testSamples()[0]
+	status, body := postClassify(t, ts.URL, valuesBody(t, row))
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("parked batch: status %d (%s), want 504", status, body)
+	}
+	start := time.Now()
+	status, body = postClassify(t, ts.URL, valuesBody(t, row))
+	if status != http.StatusOK {
+		t.Fatalf("request behind the parked batch: status %d (%s), want 200", status, body)
+	}
+	if want := expectedBody(t, art, row); !bytes.Equal(body, want) {
+		t.Errorf("body %q, want %q", body, want)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("request behind the parked batch took %s", elapsed)
+	}
+}
+
 // TestRetryAfterAndOverloadCounters drives the server into shedding and then
 // draining, checking both rejections carry Retry-After and both counters are
 // visible through /metrics.
 func TestRetryAfterAndOverloadCounters(t *testing.T) {
+	parkBatches(t, 1, 500*time.Millisecond)
 	reg := obs.NewRegistry()
 	s := New(testArtifact(t), Config{
-		BatchSize:   64, // never fills: requests wait out MaxWait
-		MaxWait:     300 * time.Millisecond,
 		MaxInFlight: 1,
 		RetryAfter:  3 * time.Second,
 		Registry:    reg,
@@ -195,7 +245,7 @@ func TestRetryAfterAndOverloadCounters(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Request A occupies the single in-flight slot while its batch waits.
+	// Request A occupies the single in-flight slot while its batch is parked.
 	done := make(chan int, 1)
 	go func() {
 		status, _ := postClassify(t, ts.URL, valuesBody(t, testSamples()[0]))

@@ -12,9 +12,11 @@
 // routing table with drain-old/warm-new semantics — see router.go.
 //
 // The request path is: decode → route (stable/canary) → discretize (per
-// request, spanned, by the routed version) → enqueue → micro-batch flush on
-// size or max-wait → core.ClassifyRowsWithConfidence (per batch, spanned)
-// → per-request response. Predictions and confidences are exactly what
+// request, spanned, by the routed version) → enqueue → micro-batch (the
+// version's batcher takes whatever is already queued, up to BatchSize, and
+// dispatches it on its own goroutine — no flush timer) →
+// core.ClassifyRowsWithConfidence (per batch, spanned) → per-request
+// response. Predictions and confidences are exactly what
 // core.ClassifyWithConfidence returns for the same row under the same
 // version; batching and routing change latency and placement, never
 // results.
@@ -68,11 +70,10 @@ import (
 // Config tunes the server. The zero value of every field selects a sane
 // default, so Config{} is a working development configuration.
 type Config struct {
-	// BatchSize is the micro-batch flush threshold (default 32).
+	// BatchSize caps how many queued requests one micro-batch takes
+	// (default 32). A batch never waits for company: it takes what is
+	// already queued when the version's batcher reaches the queue.
 	BatchSize int
-	// MaxWait is how long a non-full batch waits for company before it is
-	// flushed anyway (default 2ms). Smaller trades throughput for latency.
-	MaxWait time.Duration
 	// MaxInFlight bounds admitted-but-unanswered requests across all
 	// versions; excess load is shed with 429 (default 4×BatchSize).
 	MaxInFlight int
@@ -84,8 +85,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// WatchdogFactor × RequestTimeout bounds one batch flush: a batch worker
 	// still running past it gets an all-goroutine stack dump into the run
-	// log and its requests failed with 504, so one wedged batch cannot
-	// silently pin its callers. Negative disables; 0 means the default (4).
+	// log and its requests failed with 504, so a wedged batch shows up as
+	// a watchdog record and not only as request timeouts. Other batches
+	// never wait on it. Negative disables; 0 means the default (4).
 	WatchdogFactor int
 	// RetryAfter is the Retry-After hint sent with 429 (shed) and 503
 	// (draining) responses (default 1s). Sub-second values render rounded
@@ -134,9 +136,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * c.BatchSize
@@ -358,22 +357,13 @@ func (s *Server) release() {
 }
 
 // Shutdown drains the server: new requests are rejected with 503, every
-// admitted request is answered (pending micro-batches flush immediately
-// rather than waiting out MaxWait), every version retires, and its
-// artifact handles are released. It returns ctx.Err if the context expires
+// admitted request is answered, every version retires, and its artifact
+// handles are released. It returns ctx.Err if the context expires
 // first; the server keeps draining in the background in that case.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-	}
+	s.draining = true
 	s.mu.Unlock()
-	for _, m := range s.route.Load().models() {
-		select {
-		case m.kick <- struct{}{}:
-		default:
-		}
-	}
 
 	done := make(chan struct{})
 	go func() {

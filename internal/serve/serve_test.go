@@ -91,9 +91,10 @@ func valuesBody(t testing.TB, row []float64) string {
 	return string(b)
 }
 
-// TestBatchingDeterminism is the core serving guarantee: across batch sizes
-// and flush timings, under concurrency, every response body is byte-identical
-// to what the direct core classify path produces for that sample.
+// TestBatchingDeterminism is the core serving guarantee: across batch sizes,
+// under concurrency, every response body is byte-identical to what the
+// direct core classify path produces for that sample, and /runlogz must
+// account for every row in batches no larger than BatchSize.
 func TestBatchingDeterminism(t *testing.T) {
 	art := testArtifact(t)
 	samples := testSamples()
@@ -102,16 +103,9 @@ func TestBatchingDeterminism(t *testing.T) {
 		want[i] = expectedBody(t, art, row)
 	}
 
-	configs := []Config{
-		{BatchSize: 1, MaxWait: time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 3, MaxWait: 5 * time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 8, MaxWait: 50 * time.Millisecond, MaxInFlight: 64},
-		{BatchSize: 64, MaxWait: time.Millisecond, MaxInFlight: 64},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("batch=%d_wait=%s", cfg.BatchSize, cfg.MaxWait), func(t *testing.T) {
-			s := New(art, cfg)
+	for _, batchSize := range []int{1, 3, 8, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batchSize), func(t *testing.T) {
+			s := New(art, Config{BatchSize: batchSize, MaxInFlight: 64})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 			defer s.Close()
@@ -140,7 +134,48 @@ func TestBatchingDeterminism(t *testing.T) {
 			for err := range errs {
 				t.Error(err)
 			}
+
+			var recs []BatchRecord
+			getJSON(t, ts.URL+"/runlogz", &recs)
+			total, largest := 0, 0
+			for _, r := range recs {
+				total += r.Size
+				largest = max(largest, r.Size)
+			}
+			if total != reps*len(samples) {
+				t.Errorf("/runlogz batch sizes sum to %d, want %d", total, reps*len(samples))
+			}
+			if largest > batchSize {
+				t.Errorf("a batch of %d rows exceeded BatchSize %d", largest, batchSize)
+			}
 		})
+	}
+}
+
+// TestNextBatch pins batch formation: the batcher's request plus whatever
+// is already queued, capped at the limit, without waiting for more and
+// without tripping over a closed queue.
+func TestNextBatch(t *testing.T) {
+	queue := make(chan *pending, 8)
+	for i := 0; i < 5; i++ {
+		queue <- &pending{}
+	}
+	if got := len(nextBatch(&pending{}, queue, 4)); got != 4 {
+		t.Errorf("5 queued, limit 4: batch of %d, want 4", got)
+	}
+	if got := len(queue); got != 2 {
+		t.Errorf("%d requests left queued, want 2", got)
+	}
+	if got := len(nextBatch(&pending{}, queue, 32)); got != 3 {
+		t.Errorf("2 queued, limit 32: batch of %d, want 3", got)
+	}
+	if got := len(nextBatch(&pending{}, queue, 32)); got != 1 {
+		t.Errorf("empty queue: batch of %d, want 1", got)
+	}
+	queue <- &pending{}
+	close(queue)
+	if got := len(nextBatch(&pending{}, queue, 32)); got != 2 {
+		t.Errorf("1 queued then closed: batch of %d, want 2", got)
 	}
 }
 
@@ -177,15 +212,15 @@ func TestItemsRequestMatchesValues(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded504 pins the deadline path: a batch that can never
-// fill before the request deadline must answer 504, and the server must
-// still shut down cleanly afterwards (the abandoned row flushes on drain).
+// TestDeadlineExceeded504 pins the deadline path: a request whose batch is
+// parked past the request deadline must answer 504, and the server must
+// still shut down cleanly afterwards (the abandoned row classifies when
+// the batch resumes).
 func TestDeadlineExceeded504(t *testing.T) {
+	parkBatches(t, 1, 150*time.Millisecond)
 	reg := obs.NewRegistry()
 	art := testArtifact(t)
 	s := New(art, Config{
-		BatchSize:      100,
-		MaxWait:        10 * time.Second,
 		RequestTimeout: 50 * time.Millisecond,
 		Registry:       reg,
 	})
@@ -213,15 +248,15 @@ func TestDeadlineExceeded504(t *testing.T) {
 }
 
 // TestSheddingAndDrain exercises admission control end to end: with
-// MaxInFlight=2 occupied, a third request is shed with 429; Shutdown then
-// flushes the two waiting requests immediately (not after MaxWait) with
-// correct bodies, and post-drain traffic gets 503.
+// MaxInFlight=2 occupied (both requests' batches parked), a third request
+// is shed with 429; Shutdown then answers the two waiting requests with
+// correct bodies as soon as the parked batches resume, and post-drain
+// traffic gets 503.
 func TestSheddingAndDrain(t *testing.T) {
+	parkBatches(t, 2, 500*time.Millisecond)
 	reg := obs.NewRegistry()
 	art := testArtifact(t)
 	s := New(art, Config{
-		BatchSize:      100,
-		MaxWait:        30 * time.Second,
 		MaxInFlight:    2,
 		RequestTimeout: 30 * time.Second,
 		Registry:       reg,
@@ -261,7 +296,7 @@ func TestSheddingAndDrain(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("drain took %s; should flush pending batch immediately, not wait out MaxWait", elapsed)
+		t.Fatalf("drain took %s; the requests should answer as soon as the parked batches resume", elapsed)
 	}
 	wantBodies := map[string]bool{
 		string(expectedBody(t, art, samples[0])): true,
@@ -306,7 +341,7 @@ func TestEndpointsAndMetrics(t *testing.T) {
 	var logBuf bytes.Buffer
 	rl := obs.NewRunLog(&logBuf)
 	art := testArtifact(t)
-	s := New(art, Config{BatchSize: 4, MaxWait: 2 * time.Millisecond, Registry: reg, RunLog: rl})
+	s := New(art, Config{BatchSize: 4, Registry: reg, RunLog: rl})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

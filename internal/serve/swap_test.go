@@ -112,7 +112,7 @@ func TestSwapAtomicUnderLoad(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	s := New(art1, Config{BatchSize: 4, MaxWait: time.Millisecond, MaxInFlight: 256, Registry: reg})
+	s := New(art1, Config{BatchSize: 4, MaxInFlight: 256, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -342,37 +342,46 @@ func TestCanaryDeterminism(t *testing.T) {
 }
 
 // TestSwapDrainsInFlight pins drain-old semantics: a request already routed
-// to v1 and waiting in its batch queue when the swap lands must still be
+// to v1 and parked in one of its batches when the swap lands must still be
 // answered by v1 — byte-identical to v1's classification — while new
 // requests go to v2; and once v2 itself is swapped away, its Release hook
 // fires exactly once after the drain.
 func TestSwapDrainsInFlight(t *testing.T) {
 	art1, art2 := testArtifact(t), testArtifactFlipped(t)
 	row := testSamples()[0]
-	s := New(art1, Config{BatchSize: 64, MaxWait: 400 * time.Millisecond, MaxInFlight: 8})
+	in := parkBatches(t, 2, 300*time.Millisecond)
+	reg := obs.NewRegistry()
+	s := New(art1, Config{MaxInFlight: 8, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
-	// Park a request in v1's batch queue (BatchSize is never reached, so it
-	// would wait out MaxWait).
 	type answer struct {
 		status int
 		body   []byte
 	}
-	parked := make(chan answer, 1)
-	start := time.Now()
-	go func() {
-		status, body := postClassify(t, ts.URL, valuesBody(t, row))
-		parked <- answer{status, body}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.InFlight() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	answers := make(chan answer, 2)
+	post := func() {
+		go func() {
+			status, body := postClassify(t, ts.URL, valuesBody(t, row))
+			answers <- answer{status, body}
+		}()
 	}
-	if s.InFlight() == 0 {
-		t.Fatal("request never went in flight")
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
+	// Park two requests in v1 batches, one after the other.
+	post()
+	waitUntil("v1's first batch never parked", func() bool { return in.Counts()["serve.batch"].Fires == 1 })
+	post()
+	waitUntil("v1's second batch never parked", func() bool { return in.Counts()["serve.batch"].Fires == 2 })
 
 	released := make(chan struct{})
 	err := s.Apply(Update{Stable: &Model{
@@ -383,17 +392,16 @@ func TestSwapDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The parked request drains on v1 — and retirement flushes it
-	// immediately instead of letting it wait out MaxWait.
-	got := <-parked
-	if waited := time.Since(start); waited >= 400*time.Millisecond {
-		t.Errorf("drained request still waited the full MaxWait (%v)", waited)
-	}
-	if got.status != http.StatusOK {
-		t.Fatalf("parked request: status %d: %s", got.status, got.body)
-	}
-	if want := expectedBodyVersion(t, art1, row, "v1"); !bytes.Equal(got.body, want) {
-		t.Errorf("parked request not answered by v1:\ngot  %swant %s", got.body, want)
+	// Both parked requests drain on v1.
+	want := expectedBodyVersion(t, art1, row, "v1")
+	for i := 0; i < 2; i++ {
+		got := <-answers
+		if got.status != http.StatusOK {
+			t.Fatalf("parked request: status %d: %s", got.status, got.body)
+		}
+		if !bytes.Equal(got.body, want) {
+			t.Errorf("parked request not answered by v1:\ngot  %swant %s", got.body, want)
+		}
 	}
 	if !s.waitRetired(5 * time.Second) {
 		t.Fatal("v1 never finished retiring")
@@ -546,9 +554,9 @@ func TestApplyValidation(t *testing.T) {
 	s := New(art, Config{BatchSize: 1})
 	bad := []Update{
 		{},
-		{Stable: &Model{Version: "v2"}},                                             // no artifact
-		{Stable: &Model{Artifact: art}},                                             // no version
-		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{}},            // bad canary
+		{Stable: &Model{Version: "v2"}}, // no artifact
+		{Stable: &Model{Artifact: art}}, // no version
+		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{}},                             // bad canary
 		{Stable: &Model{Version: "v2", Artifact: art}, Canary: &Model{Version: "v2", Artifact: art}}, // same version
 		{Stable: &Model{Version: "v2", Artifact: art}, CanaryPercent: 101},
 		{Stable: &Model{Version: "v2", Artifact: art}, CanaryPercent: -1},
@@ -613,7 +621,7 @@ func TestSwapChaosSweep(t *testing.T) {
 	art1, art2 := testArtifact(t), testArtifactFlipped(t)
 	rows := testSamples()
 	reg := obs.NewRegistry()
-	s := New(art1, Config{BatchSize: 4, MaxWait: time.Millisecond, MaxInFlight: 256, Registry: reg})
+	s := New(art1, Config{BatchSize: 4, MaxInFlight: 256, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
