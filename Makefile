@@ -2,8 +2,8 @@ GO ?= go
 
 # The hot-path benchmark set tracked in BENCH_hotpath.json (see
 # EXPERIMENTS.md, "Hot-path benchmarks").
-HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKParallel|BenchmarkTopKApprox|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow
-HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/sketch/
+HOTPATH_BENCH = BenchmarkTopK|BenchmarkTopKParallel|BenchmarkTopKApprox|BenchmarkSketchOffer|BenchmarkEvaluate|BenchmarkClassify|BenchmarkClassifyBatchParallel|BenchmarkIntersect|BenchmarkKey|BenchmarkIntersectInto|BenchmarkAppendKey|BenchmarkRank|BenchmarkCountLoop|BenchmarkSelect|BenchmarkBuildIndex|BenchmarkArtifactColdStart|BenchmarkMappedClassifyRow|BenchmarkDecodeRow|BenchmarkDecodeRowOracle
+HOTPATH_PKGS = ./internal/bitset/ ./internal/carminer/ ./internal/core/ ./internal/eval/ ./internal/serve/ ./internal/sketch/
 
 # Every native fuzz target, as "package:Target" pairs for fuzz-smoke
 # (go test allows only one -fuzz pattern per invocation).
@@ -69,12 +69,15 @@ race:
 test:
 	$(GO) test ./...
 
-# test-386 runs the BSTCE and bitset tests as 32-bit binaries, where int is
-# 32 bits: the min-cover cost model multiplies counts that overflow it at
-# paper scale, and the paper-scale OC test pins the cost model's choice.
-# An amd64 Linux host runs 386 binaries natively.
+# test-386 runs the BSTCE, bitset and request-decoder tests as 32-bit
+# binaries, where int is 32 bits: the min-cover cost model multiplies counts
+# that overflow it at paper scale, and the paper-scale OC test pins the cost
+# model's choice; the decoder counts digits and exponents in ints, on
+# paper-width bodies and saturating exponents. An amd64 Linux host runs 386
+# binaries natively.
 test-386:
 	GOOS=linux GOARCH=386 $(GO) test ./internal/core/ ./internal/bitset/
+	GOOS=linux GOARCH=386 $(GO) test -run 'Decode' ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem

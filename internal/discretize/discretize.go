@@ -44,6 +44,8 @@ type Model struct {
 
 	// itemBase[k] is the first item index of Selected[k]'s intervals.
 	itemBase []int
+	// slot[g] is gene g's position in Selected, or -1 for a dropped gene.
+	slot     []int32
 	numGenes int
 }
 
@@ -151,17 +153,30 @@ func FitWithWorkers(ctx context.Context, train *dataset.Continuous, cut Cutter, 
 			return nil, firstErr
 		}
 	}
-	for g := 0; g < numGenes; g++ {
-		cuts := m.GeneCuts[g]
-		if len(cuts) > 0 {
-			m.itemBase = append(m.itemBase, len(m.ItemNames))
-			m.Selected = append(m.Selected, g)
-			for b := 0; b <= len(cuts); b++ {
-				m.ItemNames = append(m.ItemNames, fmt.Sprintf("%s[%d]", train.GeneNames[g], b))
-			}
+	m.derive()
+	for _, g := range m.Selected {
+		for b := 0; b <= len(m.GeneCuts[g]); b++ {
+			m.ItemNames = append(m.ItemNames, fmt.Sprintf("%s[%d]", train.GeneNames[g], b))
 		}
 	}
 	return m, nil
+}
+
+// derive rebuilds the index fields (Selected, itemBase, slot) from
+// GeneCuts and returns the number of intervals, which is the item count.
+func (m *Model) derive() int {
+	items := 0
+	m.slot = make([]int32, len(m.GeneCuts))
+	for g, cuts := range m.GeneCuts {
+		m.slot[g] = -1
+		if len(cuts) > 0 {
+			m.slot[g] = int32(len(m.Selected))
+			m.itemBase = append(m.itemBase, items)
+			m.Selected = append(m.Selected, g)
+			items += len(cuts) + 1
+		}
+	}
+	return items
 }
 
 // cutGene gathers gene g's column into col and runs the Cutter on it.
@@ -177,6 +192,16 @@ func (m *Model) NumItems() int { return len(m.ItemNames) }
 
 // NumSelectedGenes returns the number of original genes kept.
 func (m *Model) NumSelectedGenes() int { return len(m.Selected) }
+
+// Keeps reports whether gene g is one the model reads: it has at least
+// one cut. TransformRow looks at no other value of a sample.
+func (m *Model) Keeps(g int) bool { return g >= 0 && g < len(m.slot) && m.slot[g] >= 0 }
+
+// ItemOf returns the item that value v of kept gene g (see Keeps) falls
+// in — the bit TransformRow sets for that gene.
+func (m *Model) ItemOf(g int, v float64) int {
+	return m.itemBase[m.slot[g]] + bin(m.GeneCuts[g], v)
+}
 
 // bin returns the interval index of value v for sorted cuts: the number of
 // cuts ≤ v... values exactly on a cut fall in the lower interval, matching

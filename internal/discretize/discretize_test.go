@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bstc/internal/bitset"
 	"bstc/internal/dataset"
 )
 
@@ -194,6 +195,40 @@ func TestTransformOneItemPerSelectedGene(t *testing.T) {
 	}
 }
 
+// TestKeepsItemOfMatchTransformRow: Keeps names exactly the genes
+// TransformRow reads, and ItemOf sets the bit TransformRow sets for each.
+func TestKeepsItemOfMatchTransformRow(t *testing.T) {
+	train := randomTrain(97, 30, 5)
+	m, err := Fit(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for g := -1; g <= m.NumGenes(); g++ {
+		if m.Keeps(g) {
+			kept++
+		}
+	}
+	if kept != m.NumSelectedGenes() || kept == 0 {
+		t.Fatalf("Keeps is true for %d genes, model selects %d", kept, m.NumSelectedGenes())
+	}
+	for i, row := range train.Values {
+		want, err := m.TransformRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bitset.New(m.NumItems())
+		for g, v := range row {
+			if m.Keeps(g) {
+				got.Add(m.ItemOf(g, v))
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("row %d: Keeps/ItemOf give %v, TransformRow %v", i, got, want)
+		}
+	}
+}
+
 func TestTransformRejectsWrongGeneCount(t *testing.T) {
 	m, err := Fit(twoGeneTrain())
 	if err != nil {
@@ -358,7 +393,8 @@ func TestFitWithWorkersMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(par.Selected, serial.Selected) ||
 			!reflect.DeepEqual(par.ItemNames, serial.ItemNames) ||
-			!reflect.DeepEqual(par.itemBase, serial.itemBase) {
+			!reflect.DeepEqual(par.itemBase, serial.itemBase) ||
+			!reflect.DeepEqual(par.slot, serial.slot) {
 			t.Fatalf("workers=%d: item vocabulary differs from serial", workers)
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // hands to serving (see internal/eval's Artifact, which stores them beside
 // the classifier tables). NewModel is the constructor every load path goes
 // through; LoadModel reads the gob stream that v1 artifacts embed. The
-// derived fields (Selected, itemBase) are rebuilt on load and the parts are
-// validated, so a loaded model either behaves exactly like the one saved or
-// the load fails.
+// derived fields (Selected, itemBase, slot) are rebuilt on load and the
+// parts are validated, so a loaded model either behaves exactly like the one
+// saved or the load fails.
 
 // modelFormatVersion guards against reading streams written by an
 // incompatible layout.
@@ -70,7 +70,6 @@ func modelFromDTO(dto modelDTO) (*Model, error) {
 		ClassNames: dto.ClassNames,
 		numGenes:   dto.NumGenes,
 	}
-	items := 0
 	for g, cuts := range m.GeneCuts {
 		for i, c := range cuts {
 			if math.IsNaN(c) || math.IsInf(c, 0) {
@@ -80,13 +79,8 @@ func modelFromDTO(dto modelDTO) (*Model, error) {
 				return nil, fmt.Errorf("discretize: gene %d cuts not strictly ascending", g)
 			}
 		}
-		if len(cuts) > 0 {
-			m.itemBase = append(m.itemBase, items)
-			m.Selected = append(m.Selected, g)
-			items += len(cuts) + 1
-		}
 	}
-	if items != len(m.ItemNames) {
+	if items := m.derive(); items != len(m.ItemNames) {
 		return nil, fmt.Errorf("discretize: model has %d item names for %d intervals", len(m.ItemNames), items)
 	}
 	return m, nil

@@ -155,4 +155,7 @@ func TestLoadModelRebuildsDerivedFields(t *testing.T) {
 	if !reflect.DeepEqual(m.itemBase, loaded.itemBase) {
 		t.Errorf("itemBase = %v, want %v", loaded.itemBase, m.itemBase)
 	}
+	if !reflect.DeepEqual(m.slot, loaded.slot) {
+		t.Errorf("slot = %v, want %v", loaded.slot, m.slot)
+	}
 }

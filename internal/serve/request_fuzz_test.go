@@ -1,15 +1,15 @@
 package serve
 
-import (
-	"encoding/json"
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// FuzzDecodeRequest asserts the classify-request decoder never panics on
-// arbitrary bytes, and that anything it accepts is stable: re-marshalling
-// an accepted request and decoding again yields the same request.
+// FuzzDecodeRequest is the differential fuzz of the classify-request
+// decoder: on the three-gene test model, decodeRow must accept exactly the
+// bodies the oracle (encoding/json, the request checks, TransformRow, with
+// decodeRow's documented deviation) accepts, with the same bits, and never
+// panic. testdata/fuzz/FuzzDecodeRequest holds one seed per encoding/json
+// quirk decodeRow's doc comment decides.
 func FuzzDecodeRequest(f *testing.F) {
+	m := decodeModel(testArtifact(f))
 	f.Add([]byte(`{"values":[1.5,7,0.3]}`))
 	f.Add([]byte(`{"items":["sep[1]","wide[0]"]}`))
 	f.Add([]byte(`{"values":[1],"items":["x"]}`))
@@ -20,20 +20,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{nope`))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeRequest(data)
-		if err != nil {
-			return
-		}
-		again, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("accepted request does not re-marshal: %v", err)
-		}
-		req2, err := decodeRequest(again)
-		if err != nil {
-			t.Fatalf("re-encoded accepted request rejected: %v (body %s)", err, again)
-		}
-		if !reflect.DeepEqual(req, req2) {
-			t.Fatalf("request not stable across re-encode: %+v vs %+v", req, req2)
-		}
+		requireSameDecode(t, m, data)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"bstc/internal/bitset"
 	"bstc/internal/eval"
 	"bstc/internal/fault"
 	"bstc/internal/obs"
@@ -276,24 +275,6 @@ func (m *model) retire() {
 			m.release()
 		}
 	})
-}
-
-// rowOf turns a validated request into a query row over this version's
-// item universe. Versions may disagree on vocabularies; a request is
-// always discretized by the version that will classify it.
-func (m *model) rowOf(req *Request) (*bitset.Set, error) {
-	if len(req.Values) > 0 {
-		return m.art.TransformRow(req.Values)
-	}
-	q := bitset.New(len(m.art.Classifier.GeneNames))
-	for _, name := range req.Items {
-		i, ok := m.itemIdx[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown item %q", name)
-		}
-		q.Add(i)
-	}
-	return q, nil
 }
 
 // Apply atomically swaps the routing state: the new snapshot is published

@@ -11,12 +11,16 @@
 // pipeline, labeled serve.* metrics, and SLO trackers. Apply hot-swaps the
 // routing table with drain-old/warm-new semantics — see router.go.
 //
-// The request path is: decode → route (stable/canary) → discretize (per
-// request, spanned, by the routed version) → enqueue → micro-batch (the
-// version's batcher takes whatever is already queued, up to BatchSize, and
-// dispatches it on its own goroutine — no flush timer) →
+// The request path is: read the body → admit (429 when full, 503 while
+// draining) → route (stable/canary; the routing key is a header or the raw
+// body) → decode the body straight into the routed version's query row
+// (one pass that parses and bins only the genes its discretizer keeps; the
+// read and this scan are the serve/decode span) → enqueue → micro-batch
+// (the version's batcher takes whatever is already queued, up to
+// BatchSize, and dispatches it on its own goroutine — no flush timer) →
 // core.ClassifyRowsWithConfidence (per batch, spanned) → per-request
-// response. Predictions and confidences are exactly what
+// response. Admission comes before decoding, so a draining server answers
+// even a malformed body with 503. Predictions and confidences are exactly what
 // core.ClassifyWithConfidence returns for the same row under the same
 // version; batching and routing change latency and placement, never
 // results.
@@ -54,6 +58,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -95,9 +100,8 @@ type Config struct {
 	// invite an immediate retry storm). Negative disables the header.
 	RetryAfter time.Duration
 	// Registry receives the serving metrics (request/batch counters,
-	// latency and batch-size histograms, discretize/classify phase
-	// timings), both globally and labeled per version. nil serves
-	// uninstrumented.
+	// latency and batch-size histograms, decode/classify phase timings),
+	// both globally and labeled per version. nil serves uninstrumented.
 	Registry *obs.Registry
 	// RunLog, when non-nil, receives one obs.RunRecord per flushed batch
 	// and per route swap.
@@ -107,8 +111,8 @@ type Config struct {
 	RunLogRing int
 	// Tracer records request-scoped spans: traceparent is extracted from
 	// classify requests and injected into their responses, and sampled
-	// requests produce a handler → batch wait → batch flush → classify
-	// span tree on /tracez (and the JSONL export, when the tracer has
+	// requests produce a handler → decode, batch wait → batch flush →
+	// classify span tree on /tracez (and the JSONL export, when the tracer has
 	// one). nil serves untraced with zero overhead.
 	Tracer *trace.Tracer
 	// SLOLatency is the classify latency objective's threshold: a 200
@@ -499,6 +503,31 @@ const RoutingKeyHeader = "X-Routing-Key"
 // response that reached routing.
 const ModelVersionHeader = "X-Model-Version"
 
+// readBody reads at most maxRequestBody+1 bytes of a request body. A
+// declared Content-Length sizes the buffer up front, so the body lands in
+// one allocation; a chunked body (length -1) grows as io.ReadAll does.
+func readBody(body io.Reader, length int64) ([]byte, error) {
+	if length < 0 {
+		return io.ReadAll(io.LimitReader(body, maxRequestBody+1))
+	}
+	lr := io.LimitedReader{R: body, N: maxRequestBody + 1}
+	// The spare byte lets the last Read report EOF without a regrow.
+	buf := make([]byte, 0, min(length, maxRequestBody)+1)
+	for {
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+	}
+}
+
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -522,7 +551,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		trace.Inject(w.Header(), parent)
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	// serve/decode spans the body read through the finished query row.
+	// Admission and routing sit between the two (the routing key may be
+	// the body) and take microseconds; the phase is recorded only for
+	// requests that reach the scan.
+	decPhase := obs.NewPhasesIn(s.cfg.Registry).Start("serve/decode")
+	dec := span.StartChild("serve/decode")
+	defer dec.End() // ends early exits; a second End is ignored
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		s.met.badRequest.Inc()
 		span.SetError(err)
@@ -533,13 +569,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.met.badRequest.Inc()
 		span.SetError(fmt.Errorf("body exceeds %d bytes", maxRequestBody))
 		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxRequestBody)
-		return
-	}
-	req, err := decodeRequest(body)
-	if err != nil {
-		s.met.badRequest.Inc()
-		span.SetError(err)
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -585,14 +614,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ModelVersionHeader, m.version)
 	span.SetAttr("model_version", m.version)
 
-	// Discretize on the request goroutine (spanned per request), so the
-	// batcher only ever sees rows in its version's item universe.
-	ph := obs.NewPhasesIn(s.cfg.Registry)
-	phSpan := ph.Start("serve/discretize")
-	disc := span.StartChild("serve/discretize")
-	q, err := m.rowOf(req)
-	disc.End()
-	phSpan.End()
+	// Decode by the routed version, which owns the item universe the
+	// batcher will classify the row in.
+	q, err := m.decodeRow(body)
+	dec.End()
+	decPhase.End()
 	if err != nil {
 		s.met.badRequest.Inc()
 		span.SetError(err)

@@ -391,7 +391,7 @@ func TestEndpointsAndMetrics(t *testing.T) {
 		t.Error("serve.batches = 0")
 	}
 	for _, h := range []string{"serve.batch_size", "serve.latency_ns", "serve.queue_wait_ns",
-		"phase.serve/discretize", "phase.serve/classify"} {
+		"phase.serve/decode", "phase.serve/classify"} {
 		if _, ok := snap.Hists[h]; !ok {
 			t.Errorf("histogram %q missing from /metrics", h)
 		}
@@ -428,7 +428,8 @@ func TestEndpointsAndMetrics(t *testing.T) {
 // TestBadRequests pins the 4xx surface.
 func TestBadRequests(t *testing.T) {
 	art := testArtifact(t)
-	s := New(art, Config{BatchSize: 1})
+	reg := obs.NewRegistry()
+	s := New(art, Config{BatchSize: 1, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
@@ -452,6 +453,9 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, status, body, tc.want)
 		}
 	}
+	if got := counterValue(reg, "serve.bad_request"); got != int64(len(cases)) {
+		t.Errorf("serve.bad_request = %d, want %d", got, len(cases))
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/classify")
 	if err != nil {
@@ -468,6 +472,70 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/model: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestDrainBeforeDecode pins the status order of the request path: the
+// body is decoded after admission, so a draining server answers even a
+// malformed body with 503, and only admitted requests count as bad ones.
+func TestDrainBeforeDecode(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(testArtifact(t), Config{BatchSize: 1, Registry: reg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if status, body := postClassify(t, ts.URL, "{nope"); status != http.StatusBadRequest {
+		t.Fatalf("malformed body while serving: status %d (%s), want 400", status, body)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{"{nope", `{"values":[1,2]}`, valuesBody(t, testSamples()[0])} {
+		if status, resp := postClassify(t, ts.URL, body); status != http.StatusServiceUnavailable {
+			t.Errorf("body %q while draining: status %d (%s), want 503", body, status, resp)
+		}
+	}
+	if got := counterValue(reg, "serve.bad_request"); got != 1 {
+		t.Errorf("serve.bad_request = %d, want 1 (the request before the drain)", got)
+	}
+	if got := counterValue(reg, "serve.rejected_draining"); got != 3 {
+		t.Errorf("serve.rejected_draining = %d, want 3", got)
+	}
+}
+
+// TestReadBody: a declared length reads the body in one allocation, a
+// chunked body (length -1) or one longer than declared still reads whole,
+// and either stops one byte past maxRequestBody so the caller can 413.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 30000)
+	big := make([]byte, maxRequestBody+10)
+	cases := []struct {
+		name   string
+		body   []byte
+		length int64
+		want   int
+	}{
+		{"declared", body, int64(len(body)), len(body)},
+		{"chunked", body, -1, len(body)},
+		{"longer than declared", body, 100, len(body)},
+		{"empty", nil, 0, 0},
+		{"oversized declared", big, int64(len(big)), maxRequestBody + 1},
+		{"oversized chunked", big, -1, maxRequestBody + 1},
+	}
+	for _, tc := range cases {
+		got, err := readBody(bytes.NewReader(tc.body), tc.length)
+		if err != nil || len(got) != tc.want || !bytes.Equal(got, tc.body[:tc.want]) {
+			t.Errorf("%s: read %d bytes (err %v), want the first %d", tc.name, len(got), err, tc.want)
+		}
+	}
+	r := bytes.NewReader(body)
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(body)
+		if _, err := readBody(r, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("readBody with a declared length: %v allocs, want 1", allocs)
 	}
 }
 

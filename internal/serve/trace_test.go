@@ -78,6 +78,9 @@ func TestClassifyTracePropagation(t *testing.T) {
 	if root.Attrs["class"] == nil {
 		t.Errorf("request span lacks class attr: %v", root.Attrs)
 	}
+	if dec, ok := byName["serve/decode"]; !ok || dec.ParentID != root.SpanID {
+		t.Errorf("decode span = %+v, want child of request span", dec)
+	}
 	wait, ok := byName["serve/batch_wait"]
 	if !ok || wait.ParentID != root.SpanID {
 		t.Errorf("batch_wait span = %+v, want child of request span", wait)
@@ -99,7 +102,7 @@ func TestClassifyTracePropagation(t *testing.T) {
 
 	// Every finished span was exported as a JSONL line.
 	if n := bytes.Count(exported.Bytes(), []byte("\n")); n < 5 {
-		t.Errorf("exporter wrote %d lines, want >= 5 (request, wait, flush, classify, discretize)", n)
+		t.Errorf("exporter wrote %d lines, want >= 5 (request, decode, wait, flush, classify)", n)
 	}
 
 	// The batch runlog record and /runlogz carry the trace for correlation.
